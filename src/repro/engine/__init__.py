@@ -42,7 +42,6 @@ from repro.engine.dag_cache import (
     clear_default_dag_cache,
     dag_cache_enabled,
     default_dag_cache,
-    default_dag_cache_delta,
     resolve_dag_cache_budget,
     resolve_dag_cache_delta,
     resolve_dag_cache_size,
@@ -90,7 +89,6 @@ __all__ = [
     "resolve_dag_cache_budget",
     "set_default_dag_cache_size",
     "set_default_dag_cache_budget",
-    "default_dag_cache_delta",
     "resolve_dag_cache_delta",
     "set_default_dag_cache_delta",
     "resolve_delta_journal_size",

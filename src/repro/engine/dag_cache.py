@@ -43,203 +43,59 @@ estimated elements per graph, default 16M ≈ 128 MB);
 :func:`set_dag_cache_enabled`, :func:`set_default_dag_cache_size` and
 :func:`set_default_dag_cache_budget` (the CLI's ``--dag-cache`` /
 ``--dag-cache-size`` / ``--dag-cache-budget`` flags) override the
-environment, mirroring the backend/workers knobs.  The override is
-mirrored into the environment
-variable so worker processes started under any start method — including
-``spawn``, which re-imports this module from scratch — resolve the same
-setting as the parent.
+environment; all three are rows of the :mod:`repro.knobs` table.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+from repro import knobs as _knobs
 from repro.graphs import csr as _csr
 from repro.graphs import delta as _delta
 from repro.graphs.delta import (  # re-exported via repro.engine
     DAG_CACHE_DELTA_ENV_VAR,
     DELTA_JOURNAL_SIZE_ENV_VAR,
-    default_dag_cache_delta,
     resolve_dag_cache_delta,
     resolve_delta_journal_size,
     set_default_dag_cache_delta,
     set_default_delta_journal_size,
 )
 from repro.graphs.graph import Graph
-from repro.parallel import EnvMirroredOverride
 
 Node = Hashable
 
-#: Environment variable toggling the default cache (``1``/``on`` | ``0``/``off``).
-DAG_CACHE_ENV_VAR = "REPRO_DAG_CACHE"
+DAG_CACHE_ENV_VAR = _knobs.DAG_CACHE.env_var
+set_dag_cache_enabled = _knobs.DAG_CACHE.set
 
-#: Environment variable bounding the per-graph entry count of the default cache.
-DAG_CACHE_SIZE_ENV_VAR = "REPRO_DAG_CACHE_SIZE"
+DAG_CACHE_SIZE_ENV_VAR = _knobs.DAG_CACHE_SIZE.env_var
+DEFAULT_DAG_CACHE_SIZE = _knobs.DAG_CACHE_SIZE.default
+#: The per-graph entry bound new caches are built with.  Setting it drops
+#: the default cache so its next use is rebuilt with the new bound.
+set_default_dag_cache_size = _knobs.DAG_CACHE_SIZE.set
+resolve_dag_cache_size = _knobs.DAG_CACHE_SIZE.resolve
 
-#: Environment variable bounding the per-graph element budget of the default
-#: cache (one unit ~ one stored int64/float64, so the default is ~128 MB).
-DAG_CACHE_BUDGET_ENV_VAR = "REPRO_DAG_CACHE_BUDGET"
-
-#: Default per-graph LRU capacity (DAGs *and* distance rows count as entries).
-DEFAULT_DAG_CACHE_SIZE = 512
-
-#: Default per-graph element budget (~128 MB of 8-byte elements).
-DEFAULT_DAG_CACHE_BUDGET = 16_000_000
-
-_TRUE_VALUES = ("1", "on", "true", "yes")
-_FALSE_VALUES = ("0", "off", "false", "no")
-
-_enabled_override: Optional[bool] = None
-_env_mirror = EnvMirroredOverride(DAG_CACHE_ENV_VAR)
+#: Per-graph element budget (one unit ~ one stored int64/float64, so the
+#: default is ~128 MB); same semantics as the size bound.
+DAG_CACHE_BUDGET_ENV_VAR = _knobs.DAG_CACHE_BUDGET.env_var
+DEFAULT_DAG_CACHE_BUDGET = _knobs.DAG_CACHE_BUDGET.default
+set_default_dag_cache_budget = _knobs.DAG_CACHE_BUDGET.set
+resolve_dag_cache_budget = _knobs.DAG_CACHE_BUDGET.resolve
 
 
 def dag_cache_enabled() -> bool:
     """Whether the shared default cache is consulted by the samplers.
 
-    Resolution order: :func:`set_dag_cache_enabled` override, then the
-    ``REPRO_DAG_CACHE`` environment variable, then on.
-
     The size and budget variables are validated here eagerly as well (not
-    only when a cache is actually built), matching the eager
-    ``REPRO_BACKEND`` validation in :func:`repro.graphs.csr.resolve_backend`:
-    a typo'd ``REPRO_DAG_CACHE_SIZE`` surfaces as one clear error naming the
+    only when a cache is actually built), so a typo'd
+    ``REPRO_DAG_CACHE_SIZE`` surfaces as one clear error naming the
     variable at the first cache decision instead of deep inside a sampler.
     """
-    _env_cache_size()
-    _env_cache_budget()
-    if _enabled_override is not None:
-        return _enabled_override
-    env = os.environ.get(DAG_CACHE_ENV_VAR, "").strip().lower()
-    if not env:
-        return True
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"{DAG_CACHE_ENV_VAR}={env!r} is not a valid setting; use one of "
-        f"{_TRUE_VALUES} to enable or {_FALSE_VALUES} to disable"
-    )
-
-
-def set_dag_cache_enabled(enabled: Optional[bool]) -> None:
-    """Force the cache on/off process-wide (``None`` restores env resolution).
-
-    The choice is mirrored into ``REPRO_DAG_CACHE`` so worker processes
-    inherit it under every multiprocessing start method: ``fork`` children
-    copy the module global, but ``spawn``/``forkserver`` children re-import
-    this module fresh and would otherwise fall back to the parent's
-    *original* environment.  ``None`` restores the environment variable the
-    first override displaced.  The mirroring protocol is
-    :class:`repro.parallel.EnvMirroredOverride`, shared with the
-    workers/shared-memory knobs.
-    """
-    global _enabled_override
-    _env_mirror.set(None if enabled is None else ("1" if enabled else "0"))
-    _enabled_override = enabled
-
-
-def _positive_int_env(name: str) -> Optional[int]:
-    """Return the validated positive-int value of ``name`` (``None`` = unset)."""
-    env = os.environ.get(name, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{name}={env!r} is not a valid cache size; "
-            "expected a positive integer"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _env_cache_size() -> Optional[int]:
-    return _positive_int_env(DAG_CACHE_SIZE_ENV_VAR)
-
-
-def _env_cache_budget() -> Optional[int]:
-    return _positive_int_env(DAG_CACHE_BUDGET_ENV_VAR)
-
-
-_size_override: Optional[int] = None
-_budget_override: Optional[int] = None
-_size_env_mirror = EnvMirroredOverride(DAG_CACHE_SIZE_ENV_VAR)
-_budget_env_mirror = EnvMirroredOverride(DAG_CACHE_BUDGET_ENV_VAR)
-
-
-def _check_cache_bound(value: int, *, source: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(
-            f"{source} must be a positive int, got {type(value).__name__}"
-        )
-    if value < 1:
-        raise ValueError(f"{source} must be >= 1, got {value}")
-    return value
-
-
-def resolve_dag_cache_size() -> int:
-    """The per-graph entry bound new caches are built with.
-
-    Resolution order: :func:`set_default_dag_cache_size` override, then the
-    ``REPRO_DAG_CACHE_SIZE`` environment variable, then
-    :data:`DEFAULT_DAG_CACHE_SIZE`.
-    """
-    env = _env_cache_size()
-    if _size_override is not None:
-        return _size_override
-    return env if env is not None else DEFAULT_DAG_CACHE_SIZE
-
-
-def resolve_dag_cache_budget() -> int:
-    """The per-graph element budget new caches are built with.
-
-    Resolution order: :func:`set_default_dag_cache_budget` override, then
-    the ``REPRO_DAG_CACHE_BUDGET`` environment variable, then
-    :data:`DEFAULT_DAG_CACHE_BUDGET`.
-    """
-    env = _env_cache_budget()
-    if _budget_override is not None:
-        return _budget_override
-    return env if env is not None else DEFAULT_DAG_CACHE_BUDGET
-
-
-def set_default_dag_cache_size(size: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the default per-graph entry bound.
-
-    Mirrored into ``REPRO_DAG_CACHE_SIZE`` (the
-    :class:`repro.parallel.EnvMirroredOverride` protocol) so worker
-    processes build their caches with the same bound under every start
-    method; ``None`` restores the variable the first override displaced.
-    The process-wide default cache is dropped so the next use is rebuilt
-    with the new bound (the cache never changes results, so rebuilding is
-    free of correctness concerns).
-    """
-    global _size_override
-    if size is not None:
-        _check_cache_bound(size, source="dag_cache_size")
-    _size_env_mirror.set(None if size is None else str(size))
-    _size_override = size
-    clear_default_dag_cache()
-
-
-def set_default_dag_cache_budget(budget: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the default per-graph element budget.
-
-    Same mirroring and default-cache-rebuild semantics as
-    :func:`set_default_dag_cache_size`.
-    """
-    global _budget_override
-    if budget is not None:
-        _check_cache_bound(budget, source="dag_cache_budget")
-    _budget_env_mirror.set(None if budget is None else str(budget))
-    _budget_override = budget
-    clear_default_dag_cache()
+    _knobs.DAG_CACHE_SIZE.env()
+    _knobs.DAG_CACHE_BUDGET.env()
+    return _knobs.DAG_CACHE.resolve()
 
 
 def _entry_cost(value: object) -> int:

@@ -25,7 +25,6 @@ from repro.graphs.components import connected_components, largest_connected_comp
 from repro.graphs.delta import (
     EdgeDelta,
     MutationJournal,
-    default_dag_cache_delta,
     deltas_between,
     resolve_dag_cache_delta,
     resolve_delta_journal_size,
@@ -59,7 +58,6 @@ from repro.graphs.store import (
     SnapshotStore,
     content_digest,
     default_mmap,
-    default_snapshot_dir,
     effective_mmap,
     graph_from_snapshot,
     load_snapshot,
@@ -70,7 +68,6 @@ from repro.graphs.store import (
     set_default_snapshot_dir,
 )
 from repro.graphs.sssp import (
-    default_weighted,
     effective_weighted,
     resolve_weighted,
     set_default_weighted,
@@ -101,7 +98,6 @@ __all__ = [
     "load_snapshot",
     "content_digest",
     "graph_from_snapshot",
-    "default_snapshot_dir",
     "set_default_snapshot_dir",
     "resolve_snapshot_dir",
     "default_mmap",
@@ -115,7 +111,6 @@ __all__ = [
     "grid_road_graph",
     "bfs_distances",
     "sssp_distances",
-    "default_weighted",
     "set_default_weighted",
     "resolve_weighted",
     "effective_weighted",
@@ -140,7 +135,6 @@ __all__ = [
     "EdgeDelta",
     "MutationJournal",
     "deltas_between",
-    "default_dag_cache_delta",
     "resolve_dag_cache_delta",
     "set_default_dag_cache_delta",
     "resolve_delta_journal_size",

@@ -36,7 +36,7 @@ from typing import Dict, Hashable, List, Optional
 
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as _csr
-from repro.graphs.csr import sigma_choice as _weighted_choice
+from repro.graphs.csr import sigma_choice
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -107,7 +107,7 @@ class BidirectionalBFSResult:
         weights = [
             self.cut_nodes[w][0] * self.cut_nodes[w][1] for w in nodes
         ]
-        middle = _weighted_choice(nodes, weights, rng)
+        middle = sigma_choice(nodes, weights, rng)
         first_half = self._forward.sample_path_to(middle, rng)
         second_half = self._backward.sample_path_to(middle, rng)
         second_half.reverse()
@@ -161,7 +161,7 @@ class _SearchSide:
         while current != self.root:
             preds = self.preds[current]
             weights = [self.sigma[p] for p in preds]
-            current = _weighted_choice(preds, weights, rng)
+            current = sigma_choice(preds, weights, rng)
             path.append(current)
         path.reverse()
         return path
@@ -253,7 +253,7 @@ class _CSRSearchSide:
         while current != self.root:
             preds = self.preds_of(current)
             weights = [int(self.sigma[p]) for p in preds]
-            current = _weighted_choice(preds, weights, rng)
+            current = sigma_choice(preds, weights, rng)
             path.append(current)
         path.reverse()
         return path

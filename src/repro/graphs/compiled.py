@@ -18,7 +18,7 @@ scalar sequence of the dict reference inside compiled code; the backend
 equivalence suite gates this contract.
 
 The tier is controlled by the ``compiled`` knob (``"auto"``/``"on"``/
-``"off"``), following the standard protocol: explicit argument >
+``"off"``), a row of the :mod:`repro.knobs` table: explicit argument >
 :func:`set_default_compiled` > the ``REPRO_COMPILED`` environment variable
 (mirrored for spawn workers) > ``"auto"``.  ``"auto"`` uses numba iff it is
 importable; ``"on"`` raises a clear error when numba is missing (so a
@@ -29,86 +29,26 @@ pure-Python loops even when numba is installed.
 from __future__ import annotations
 
 import importlib.util
-import os
 from typing import Callable, Dict, Optional
 
-from repro.parallel import EnvMirroredOverride
+from repro import knobs as _knobs
 
-#: Environment variable overriding the default compiled-tier mode.
-COMPILED_ENV_VAR = "REPRO_COMPILED"
+COMPILED_ENV_VAR = _knobs.COMPILED.env_var
+set_default_compiled = _knobs.COMPILED.set
+resolve_compiled = _knobs.COMPILED.resolve
 
 COMPILED_AUTO = "auto"
 COMPILED_ON = "on"
 COMPILED_OFF = "off"
 
-_COMPILED_CHOICES = (COMPILED_AUTO, COMPILED_ON, COMPILED_OFF)
-
 #: Whether numba is importable (checked without importing it — the import
 #: itself is deferred until a kernel is actually requested).
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
-
-_default_compiled: Optional[str] = None
-_env_mirror = EnvMirroredOverride(COMPILED_ENV_VAR)
 
 #: Lazily-jitted kernels by name; ``None`` until the first request.
 _kernels: Optional[Dict[str, Callable]] = None
 #: Set when jitting failed — the tier then stays pure-Python for the process.
 _compile_failed = False
-
-
-def _check_compiled_name(value: str, *, source: str = "compiled") -> None:
-    """Raise a uniform error for an invalid compiled-tier mode name."""
-    if value not in _COMPILED_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid compiled mode; choose one of "
-            f"{_COMPILED_CHOICES} (the default can also be set via the "
-            f"{COMPILED_ENV_VAR} environment variable)"
-        )
-
-
-def _env_compiled() -> Optional[str]:
-    """Return the validated ``REPRO_COMPILED`` value, or ``None`` if unset."""
-    env = os.environ.get(COMPILED_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_compiled_name(env, source=COMPILED_ENV_VAR)
-    return env
-
-
-def default_compiled() -> str:
-    """Return the mode used when callers pass ``compiled=None``."""
-    if _default_compiled is not None:
-        return _default_compiled
-    env = _env_compiled()
-    if env is not None:
-        return env
-    return COMPILED_AUTO
-
-
-def set_default_compiled(compiled: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default compiled mode.
-
-    Mirrored into ``REPRO_COMPILED`` via
-    :class:`repro.parallel.EnvMirroredOverride` so spawn workers resolve the
-    same tier; ``None`` restores the environment variable the first
-    override displaced.
-    """
-    global _default_compiled
-    if compiled is not None:
-        _check_compiled_name(compiled)
-    _env_mirror.set(compiled)
-    _default_compiled = compiled
-
-
-def resolve_compiled(compiled: Optional[str] = None) -> str:
-    """Map a user-facing ``compiled`` argument to a concrete mode name."""
-    env = _env_compiled()
-    if compiled is None:
-        if _default_compiled is not None:
-            return _default_compiled
-        return env if env is not None else COMPILED_AUTO
-    _check_compiled_name(compiled)
-    return compiled
 
 
 def compiled_enabled(compiled: Optional[str] = None) -> bool:

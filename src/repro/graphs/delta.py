@@ -34,7 +34,7 @@ This module records *what actually changed* so the caches can do better:
   compare), so retention decisions agree bit-for-bit with what a fresh
   traversal would compute.
 
-Knobs (full protocol, mirroring :mod:`repro.graphs.sssp`):
+Knobs (rows of the :mod:`repro.knobs` table):
 
 * ``dag_cache_delta`` = ``auto`` | ``on`` | ``off``
   (``REPRO_DAG_CACHE_DELTA``, :func:`set_default_dag_cache_delta`, the
@@ -57,29 +57,32 @@ bit for bit, across the whole knob matrix.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from itertools import islice
 from typing import Callable, Hashable, List, NamedTuple, Optional
 
+from repro import knobs as _knobs
+
 Node = Hashable
 
-#: Environment variable overriding the default delta-invalidation mode.
-DAG_CACHE_DELTA_ENV_VAR = "REPRO_DAG_CACHE_DELTA"
+DAG_CACHE_DELTA_ENV_VAR = _knobs.DAG_CACHE_DELTA.env_var
+set_default_dag_cache_delta = _knobs.DAG_CACHE_DELTA.set
+resolve_dag_cache_delta = _knobs.DAG_CACHE_DELTA.resolve
 
-#: Environment variable overriding the default journal cap.
-DELTA_JOURNAL_SIZE_ENV_VAR = "REPRO_DELTA_JOURNAL_SIZE"
+DELTA_JOURNAL_SIZE_ENV_VAR = _knobs.DELTA_JOURNAL_SIZE.env_var
+set_default_delta_journal_size = _knobs.DELTA_JOURNAL_SIZE.set
+#: The cap newly armed journals are built with (already-armed journals
+#: keep theirs).
+resolve_delta_journal_size = _knobs.DELTA_JOURNAL_SIZE.resolve
 
 DELTA_AUTO = "auto"
 DELTA_ON = "on"
 DELTA_OFF = "off"
 
-_DELTA_CHOICES = (DELTA_AUTO, DELTA_ON, DELTA_OFF)
-
 #: Default journal cap: generous for interactive edit streams, small enough
 #: that the per-entry validation scan (O(cap) comparisons) stays negligible
 #: next to one traversal.
-DEFAULT_DELTA_JOURNAL_SIZE = 256
+DEFAULT_DELTA_JOURNAL_SIZE = _knobs.DELTA_JOURNAL_SIZE.default
 
 #: In ``auto`` mode a delta range longer than this skips per-entry
 #: validation and wholesale-evicts instead: past a few dozen edits the
@@ -168,150 +171,6 @@ class MutationJournal:
             if delta.op == OP_STRUCTURAL:
                 return None
         return deltas
-
-
-# ---------------------------------------------------------------------------
-# The dag_cache_delta knob
-# ---------------------------------------------------------------------------
-_default_delta: Optional[str] = None
-_journal_size_override: Optional[int] = None
-
-# EnvMirroredOverride lives in repro.parallel, which (indirectly) imports
-# this module at import time: parallel -> graphs.csr -> graphs.delta.  The
-# mirrors are therefore created lazily, on the first setter call.
-_delta_env_mirror = None
-_journal_size_env_mirror = None
-
-
-def _mirror(name: str):
-    global _delta_env_mirror, _journal_size_env_mirror
-    from repro.parallel import EnvMirroredOverride
-
-    if name == DAG_CACHE_DELTA_ENV_VAR:
-        if _delta_env_mirror is None:
-            _delta_env_mirror = EnvMirroredOverride(DAG_CACHE_DELTA_ENV_VAR)
-        return _delta_env_mirror
-    if _journal_size_env_mirror is None:
-        _journal_size_env_mirror = EnvMirroredOverride(DELTA_JOURNAL_SIZE_ENV_VAR)
-    return _journal_size_env_mirror
-
-
-def _check_delta_name(value: str, *, source: str = "dag_cache_delta") -> None:
-    """Raise a uniform error for an invalid delta-mode name."""
-    if value not in _DELTA_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid delta-invalidation mode; "
-            f"choose one of {_DELTA_CHOICES} (the default can also be set "
-            f"via the {DAG_CACHE_DELTA_ENV_VAR} environment variable)"
-        )
-
-
-def _env_delta() -> Optional[str]:
-    """Return the validated ``REPRO_DAG_CACHE_DELTA`` value (``None`` = unset)."""
-    env = os.environ.get(DAG_CACHE_DELTA_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_delta_name(env, source=DAG_CACHE_DELTA_ENV_VAR)
-    return env
-
-
-def default_dag_cache_delta() -> str:
-    """Return the mode used when callers pass ``dag_cache_delta=None``.
-
-    Resolution order: :func:`set_default_dag_cache_delta` override, then
-    the ``REPRO_DAG_CACHE_DELTA`` environment variable, then ``"auto"``.
-    """
-    if _default_delta is not None:
-        return _default_delta
-    env = _env_delta()
-    if env is not None:
-        return env
-    return DELTA_AUTO
-
-
-def set_default_dag_cache_delta(mode: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide delta-invalidation mode.
-
-    Mirrored into ``REPRO_DAG_CACHE_DELTA`` via the
-    :class:`repro.parallel.EnvMirroredOverride` protocol so spawn workers
-    resolve the same mode; ``None`` restores the environment variable the
-    first override displaced.
-    """
-    global _default_delta
-    if mode is not None:
-        _check_delta_name(mode)
-    _mirror(DAG_CACHE_DELTA_ENV_VAR).set(mode)
-    _default_delta = mode
-
-
-def resolve_dag_cache_delta(mode: Optional[str] = None) -> str:
-    """Map a user-facing ``dag_cache_delta`` argument to a concrete mode.
-
-    An invalid ``REPRO_DAG_CACHE_DELTA`` value is rejected eagerly,
-    matching :func:`repro.graphs.sssp.resolve_weighted`.
-    """
-    env = _env_delta()
-    if mode is None:
-        if _default_delta is not None:
-            return _default_delta
-        return env if env is not None else DELTA_AUTO
-    _check_delta_name(mode)
-    return mode
-
-
-def _env_journal_size() -> Optional[int]:
-    """Return the validated ``REPRO_DELTA_JOURNAL_SIZE`` (``None`` = unset)."""
-    env = os.environ.get(DELTA_JOURNAL_SIZE_ENV_VAR, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{DELTA_JOURNAL_SIZE_ENV_VAR}={env!r} is not a valid journal "
-            "size; expected a positive integer"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{DELTA_JOURNAL_SIZE_ENV_VAR} must be >= 1, got {value}"
-        )
-    return value
-
-
-def resolve_delta_journal_size() -> int:
-    """The cap newly armed journals are built with.
-
-    Resolution order: :func:`set_default_delta_journal_size` override, then
-    the ``REPRO_DELTA_JOURNAL_SIZE`` environment variable, then
-    :data:`DEFAULT_DELTA_JOURNAL_SIZE`.
-    """
-    env = _env_journal_size()
-    if _journal_size_override is not None:
-        return _journal_size_override
-    return env if env is not None else DEFAULT_DELTA_JOURNAL_SIZE
-
-
-def set_default_delta_journal_size(size: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the default journal cap.
-
-    Mirrored into ``REPRO_DELTA_JOURNAL_SIZE`` so spawn workers arm their
-    journals with the same cap; ``None`` restores the variable the first
-    override displaced.  Already-armed journals keep their cap — the knob
-    applies to journals armed afterwards.
-    """
-    global _journal_size_override
-    if size is not None:
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise TypeError(
-                f"delta_journal_size must be a positive int, "
-                f"got {type(size).__name__}"
-            )
-        if size < 1:
-            raise ValueError(f"delta_journal_size must be >= 1, got {size}")
-    _mirror(DELTA_JOURNAL_SIZE_ENV_VAR).set(
-        None if size is None else str(size)
-    )
-    _journal_size_override = size
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ engines behind it:
 
 This module owns the *routing decision*: a user-facing ``weighted``
 argument (``None``/``"auto"``/``"on"``/``"off"``), the ``REPRO_WEIGHTED``
-environment variable and :func:`set_default_weighted` resolve — mirroring
-the backend/workers knob machinery — to a concrete boolean per graph:
+environment variable and :func:`set_default_weighted` resolve — through
+the :mod:`repro.knobs` table row — to a concrete boolean per graph:
 
 * ``"auto"`` (the default): use the weighted engine iff the graph carries
   non-unit edge weights (:attr:`Graph.is_weighted`, an O(1) check).
@@ -42,88 +42,17 @@ affects speed only.  The dict backend always runs the reference Dijkstra
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.parallel import EnvMirroredOverride
+from repro import knobs as _knobs
 
-#: Environment variable overriding the default weighted-routing mode.
-WEIGHTED_ENV_VAR = "REPRO_WEIGHTED"
+WEIGHTED_ENV_VAR = _knobs.WEIGHTED.env_var
+set_default_weighted = _knobs.WEIGHTED.set
+resolve_weighted = _knobs.WEIGHTED.resolve
 
 WEIGHTED_AUTO = "auto"
 WEIGHTED_ON = "on"
 WEIGHTED_OFF = "off"
-
-_WEIGHTED_CHOICES = (WEIGHTED_AUTO, WEIGHTED_ON, WEIGHTED_OFF)
-
-_default_weighted: Optional[str] = None
-_env_mirror = EnvMirroredOverride(WEIGHTED_ENV_VAR)
-
-
-def _check_weighted_name(value: str, *, source: str = "weighted") -> None:
-    """Raise a uniform error for an invalid weighted-mode name."""
-    if value not in _WEIGHTED_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid weighted mode; choose one of "
-            f"{_WEIGHTED_CHOICES} (the default can also be set via the "
-            f"{WEIGHTED_ENV_VAR} environment variable)"
-        )
-
-
-def _env_weighted() -> Optional[str]:
-    """Return the validated ``REPRO_WEIGHTED`` value, or ``None`` if unset."""
-    env = os.environ.get(WEIGHTED_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_weighted_name(env, source=WEIGHTED_ENV_VAR)
-    return env
-
-
-def default_weighted() -> str:
-    """Return the mode used when callers pass ``weighted=None``.
-
-    Resolution order: :func:`set_default_weighted` override, then the
-    ``REPRO_WEIGHTED`` environment variable, then ``"auto"`` (route per
-    graph on :attr:`Graph.is_weighted`).
-    """
-    if _default_weighted is not None:
-        return _default_weighted
-    env = _env_weighted()
-    if env is not None:
-        return env
-    return WEIGHTED_AUTO
-
-
-def set_default_weighted(weighted: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default weighted mode.
-
-    The choice is mirrored into ``REPRO_WEIGHTED`` so worker processes
-    resolve the same default under every multiprocessing start method
-    (the :class:`repro.parallel.EnvMirroredOverride` protocol shared with
-    the workers/shared-memory/DAG-cache knobs); ``None`` restores the
-    environment variable the first override displaced.
-    """
-    global _default_weighted
-    if weighted is not None:
-        _check_weighted_name(weighted)
-    _env_mirror.set(weighted)
-    _default_weighted = weighted
-
-
-def resolve_weighted(weighted: Optional[str] = None) -> str:
-    """Map a user-facing ``weighted`` argument to a concrete mode name.
-
-    An invalid ``REPRO_WEIGHTED`` value is rejected here as well (not only
-    when it is actually consulted), matching the eager ``REPRO_BACKEND``
-    validation in :func:`repro.graphs.csr.resolve_backend`.
-    """
-    env = _env_weighted()
-    if weighted is None:
-        if _default_weighted is not None:
-            return _default_weighted
-        return env if env is not None else WEIGHTED_AUTO
-    _check_weighted_name(weighted)
-    return weighted
 
 
 def effective_weighted(graph, weighted: Optional[str] = None) -> bool:
@@ -146,80 +75,13 @@ def effective_weighted(graph, weighted: Optional[str] = None) -> bool:
 # Weighted kernel selection (Dijkstra vs delta-stepping)
 # ---------------------------------------------------------------------------
 
-#: Environment variable overriding the default weighted SSSP kernel.
-SSSP_KERNEL_ENV_VAR = "REPRO_SSSP_KERNEL"
+SSSP_KERNEL_ENV_VAR = _knobs.SSSP_KERNEL.env_var
+set_default_sssp_kernel = _knobs.SSSP_KERNEL.set
+resolve_sssp_kernel = _knobs.SSSP_KERNEL.resolve
 
 KERNEL_AUTO = "auto"
 KERNEL_DIJKSTRA = "dijkstra"
 KERNEL_DELTA = "delta"
-
-_KERNEL_CHOICES = (KERNEL_AUTO, KERNEL_DIJKSTRA, KERNEL_DELTA)
-
-_default_sssp_kernel: Optional[str] = None
-_kernel_env_mirror = EnvMirroredOverride(SSSP_KERNEL_ENV_VAR)
-
-
-def _check_kernel_name(value: str, *, source: str = "sssp_kernel") -> None:
-    """Raise a uniform error for an invalid weighted-kernel name."""
-    if value not in _KERNEL_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid SSSP kernel; choose one of "
-            f"{_KERNEL_CHOICES} (the default can also be set via the "
-            f"{SSSP_KERNEL_ENV_VAR} environment variable)"
-        )
-
-
-def _env_sssp_kernel() -> Optional[str]:
-    """Return the validated ``REPRO_SSSP_KERNEL`` value, or ``None`` if unset."""
-    env = os.environ.get(SSSP_KERNEL_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_kernel_name(env, source=SSSP_KERNEL_ENV_VAR)
-    return env
-
-
-def default_sssp_kernel() -> str:
-    """Return the kernel used when callers pass ``sssp_kernel=None``.
-
-    Resolution order: :func:`set_default_sssp_kernel` override, then the
-    ``REPRO_SSSP_KERNEL`` environment variable, then ``"auto"``.
-    """
-    if _default_sssp_kernel is not None:
-        return _default_sssp_kernel
-    env = _env_sssp_kernel()
-    if env is not None:
-        return env
-    return KERNEL_AUTO
-
-
-def set_default_sssp_kernel(kernel: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default weighted kernel.
-
-    Mirrored into ``REPRO_SSSP_KERNEL`` via the
-    :class:`repro.parallel.EnvMirroredOverride` protocol so spawn workers
-    resolve the same kernel; ``None`` restores the environment variable the
-    first override displaced.
-    """
-    global _default_sssp_kernel
-    if kernel is not None:
-        _check_kernel_name(kernel)
-    _kernel_env_mirror.set(kernel)
-    _default_sssp_kernel = kernel
-
-
-def resolve_sssp_kernel(kernel: Optional[str] = None) -> str:
-    """Map a user-facing ``sssp_kernel`` argument to a concrete mode name.
-
-    An invalid ``REPRO_SSSP_KERNEL`` value is rejected eagerly, matching
-    :func:`resolve_weighted`.
-    """
-    env = _env_sssp_kernel()
-    if kernel is None:
-        if _default_sssp_kernel is not None:
-            return _default_sssp_kernel
-        return env if env is not None else KERNEL_AUTO
-    _check_kernel_name(kernel)
-    return kernel
 
 
 def effective_sssp_kernel(

@@ -64,7 +64,7 @@ Memory-mapped snapshots are **read-only**: every consumer treats a
 already materialises *fresh* in-RAM arrays — copy-on-write — so the
 mapped file is never written through and journal semantics are unchanged.
 
-Knobs (full protocol, mirroring :mod:`repro.graphs.sssp`):
+Knobs (rows of the :mod:`repro.knobs` table):
 
 * ``snapshot_dir`` — the default store directory (``None`` = no store).
   ``REPRO_SNAPSHOT_DIR``, :func:`set_default_snapshot_dir`, the CLI's
@@ -91,6 +91,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro import knobs as _knobs
 from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph, HAS_NUMPY, as_csr
 from repro.graphs.graph import Graph
@@ -102,17 +103,9 @@ else:  # pragma: no cover - exercised only on numpy-less installs
 
 PathLike = Union[str, Path]
 
-#: Environment variable providing the default snapshot-store directory.
-SNAPSHOT_DIR_ENV_VAR = "REPRO_SNAPSHOT_DIR"
-
-#: Environment variable overriding the default memory-mapping mode.
-MMAP_ENV_VAR = "REPRO_MMAP"
-
 MMAP_AUTO = "auto"
 MMAP_ON = "on"
 MMAP_OFF = "off"
-
-_MMAP_CHOICES = (MMAP_AUTO, MMAP_ON, MMAP_OFF)
 
 #: Magic bytes opening every snapshot file.
 SNAPSHOT_MAGIC = b"REPROCSR"
@@ -136,62 +129,12 @@ HEADER_SIZE = _HEADER_STRUCT.size  # 64
 # ---------------------------------------------------------------------------
 # The snapshot_dir and mmap knobs
 # ---------------------------------------------------------------------------
-_default_snapshot_dir: Optional[str] = None
-_default_mmap: Optional[str] = None
+SNAPSHOT_DIR_ENV_VAR = _knobs.SNAPSHOT_DIR.env_var
+set_default_snapshot_dir = _knobs.SNAPSHOT_DIR.set
 
-# EnvMirroredOverride lives in repro.parallel, which imports repro.graphs.csr
-# at module import time; mirrors are created lazily on the first setter call
-# (the same pattern as repro.graphs.delta).
-_snapshot_dir_env_mirror = None
-_mmap_env_mirror = None
-
-
-def _mirror(name: str):
-    global _snapshot_dir_env_mirror, _mmap_env_mirror
-    from repro.parallel import EnvMirroredOverride
-
-    if name == SNAPSHOT_DIR_ENV_VAR:
-        if _snapshot_dir_env_mirror is None:
-            _snapshot_dir_env_mirror = EnvMirroredOverride(SNAPSHOT_DIR_ENV_VAR)
-        return _snapshot_dir_env_mirror
-    if _mmap_env_mirror is None:
-        _mmap_env_mirror = EnvMirroredOverride(MMAP_ENV_VAR)
-    return _mmap_env_mirror
-
-
-def _env_snapshot_dir() -> Optional[str]:
-    """Return the ``REPRO_SNAPSHOT_DIR`` value (``None``/empty = unset)."""
-    env = os.environ.get(SNAPSHOT_DIR_ENV_VAR, "").strip()
-    return env or None
-
-
-def default_snapshot_dir() -> Optional[str]:
-    """The store directory used when callers pass ``snapshot_dir=None``.
-
-    Resolution order: :func:`set_default_snapshot_dir` override, then the
-    ``REPRO_SNAPSHOT_DIR`` environment variable, then ``None`` (no store:
-    the registry and ground-truth disk tiers stay disabled).
-    """
-    if _default_snapshot_dir is not None:
-        return _default_snapshot_dir
-    return _env_snapshot_dir()
-
-
-def set_default_snapshot_dir(snapshot_dir: Optional[PathLike]) -> None:
-    """Set (or with ``None`` clear) the process-wide snapshot directory.
-
-    Mirrored into ``REPRO_SNAPSHOT_DIR`` via the
-    :class:`repro.parallel.EnvMirroredOverride` protocol so spawn workers
-    resolve the same store; ``None`` restores the variable the first
-    override displaced.
-    """
-    global _default_snapshot_dir
-    if snapshot_dir is not None:
-        snapshot_dir = str(snapshot_dir)
-        if not snapshot_dir.strip():
-            raise ValueError("snapshot_dir must be a non-empty path or None")
-    _mirror(SNAPSHOT_DIR_ENV_VAR).set(snapshot_dir)
-    _default_snapshot_dir = snapshot_dir
+MMAP_ENV_VAR = _knobs.MMAP.env_var
+set_default_mmap = _knobs.MMAP.set
+resolve_mmap = default_mmap = _knobs.MMAP.resolve
 
 
 def resolve_snapshot_dir(
@@ -202,73 +145,8 @@ def resolve_snapshot_dir(
     ``None`` means "no store" (the memoisation and persistent ground-truth
     tiers are disabled) — the historical in-RAM behaviour.
     """
-    if snapshot_dir is not None:
-        return Path(snapshot_dir)
-    if _default_snapshot_dir is not None:
-        return Path(_default_snapshot_dir)
-    env = _env_snapshot_dir()
-    return Path(env) if env is not None else None
-
-
-def _check_mmap_name(value: str, *, source: str = "mmap") -> None:
-    """Raise a uniform error for an invalid mmap mode name."""
-    if value not in _MMAP_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid mmap mode; choose one of "
-            f"{_MMAP_CHOICES} (the default can also be set via the "
-            f"{MMAP_ENV_VAR} environment variable)"
-        )
-
-
-def _env_mmap() -> Optional[str]:
-    """Return the validated ``REPRO_MMAP`` value (``None`` = unset)."""
-    env = os.environ.get(MMAP_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_mmap_name(env, source=MMAP_ENV_VAR)
-    return env
-
-
-def default_mmap() -> str:
-    """The mmap mode used when callers pass ``mmap=None``.
-
-    Resolution order: :func:`set_default_mmap` override, then the
-    ``REPRO_MMAP`` environment variable, then ``"auto"``.
-    """
-    if _default_mmap is not None:
-        return _default_mmap
-    env = _env_mmap()
-    return env if env is not None else MMAP_AUTO
-
-
-def set_default_mmap(mode: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide mmap mode.
-
-    Mirrored into ``REPRO_MMAP`` so spawn workers attach snapshots the
-    same way; ``None`` restores the environment variable the first
-    override displaced.
-    """
-    global _default_mmap
-    if mode is not None:
-        _check_mmap_name(mode)
-    _mirror(MMAP_ENV_VAR).set(mode)
-    _default_mmap = mode
-
-
-def resolve_mmap(mmap: Optional[str] = None) -> str:
-    """Map a user-facing ``mmap`` argument to a concrete mode name.
-
-    An invalid ``REPRO_MMAP`` value is rejected eagerly (even when an
-    explicit argument makes it moot for this call), matching the eager
-    ``REPRO_BACKEND`` validation in :func:`repro.graphs.csr.resolve_backend`.
-    """
-    env = _env_mmap()
-    if mmap is None:
-        if _default_mmap is not None:
-            return _default_mmap
-        return env if env is not None else MMAP_AUTO
-    _check_mmap_name(mmap)
-    return mmap
+    resolved = _knobs.SNAPSHOT_DIR.resolve(snapshot_dir)
+    return None if resolved is None else Path(resolved)
 
 
 def effective_mmap(mmap: Optional[str] = None) -> bool:

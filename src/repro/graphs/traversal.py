@@ -469,16 +469,3 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng) -> Node:
     refers to edge weights across the codebase.
     """
     return _csr.sigma_choice(items, weights, rng)
-
-
-def _weighted_choice(items: Sequence, weights: Sequence[int], rng) -> Node:
-    """Deprecated alias of :func:`sigma_choice` (warns once per call site)."""
-    import warnings
-
-    warnings.warn(
-        "_weighted_choice is deprecated; use sigma_choice (the probability "
-        "weights here are shortest-path counts, not edge weights)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sigma_choice(items, weights, rng)

@@ -8,9 +8,9 @@ the contracts statically, at CI time, with stdlib :mod:`ast` visitors.
 
 Per-file pattern rules:
 
-* ``knob-protocol`` — every ``REPRO_*`` environment variable read in
-  ``src/`` must carry the full knob surface (a ``set_default_*`` /
-  ``set_*_enabled`` override, a CLI flag, an ``ExperimentConfig`` field).
+* ``knob-protocol`` — every ``REPRO_*`` environment variable is declared
+  and read only in ``repro/knobs.py``, whose table generates each knob's
+  override, resolver, CLI flag and ``ExperimentConfig`` check.
 * ``float-fold`` — ``sum()``/``.sum()``/``np.sum``/``math.fsum`` folds
   inside the kernel modules must be integer (``int(...)``-wrapped) or
   carry an audited suppression: pairwise summation re-associates float
@@ -18,7 +18,7 @@ Per-file pattern rules:
 * ``rng-discipline`` — no global ``random.*`` or ``np.random.*`` calls
   outside ``repro/utils/rng.py``; all randomness rides seeded streams.
 * ``env-mirror`` — direct ``os.environ`` writes only inside
-  ``repro/parallel.py``'s ``EnvMirroredOverride`` machinery.
+  ``repro/knobs.py``'s ``EnvMirroredOverride`` machinery.
 * ``kernel-ownership`` — frontier/level-expansion loops and kernel
   privates (``_BatchSweep`` & co.) stay inside the whitelisted
   ``graphs/{csr,delta_stepping,compiled,traversal}.py`` modules.

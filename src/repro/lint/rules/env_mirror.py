@@ -2,14 +2,14 @@
 
 The knob protocol keeps spawn workers in agreement with the parent by
 mirroring every override into its ``REPRO_*`` environment variable
-through :class:`repro.parallel.EnvMirroredOverride`, which also restores
+through :class:`repro.knobs.EnvMirroredOverride`, which also restores
 the displaced value on reset.  A direct ``os.environ[...] = ...`` write
 anywhere else bypasses that bookkeeping: the next worker pool inherits a
 value no override tracks, and tearing it down leaks state into later
 runs.  The rule flags every mutation of the process environment —
 subscript assignment/deletion, ``pop``/``setdefault``/``update``/
 ``clear``, ``os.putenv``/``os.unsetenv`` — unless it sits inside the
-``EnvMirroredOverride`` class body in ``parallel.py``.
+``EnvMirroredOverride`` class body in ``knobs.py``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class EnvMirrorRule(Rule):
     rule_id = "env-mirror"
     description = (
         "direct os.environ writes (assignment, del, pop, update, "
-        "putenv) are allowed only inside parallel.py's "
-        "EnvMirroredOverride; route overrides through the set_default_* "
-        "functions so spawned workers stay in sync"
+        "putenv) are allowed only inside knobs.py's "
+        "EnvMirroredOverride; route overrides through the knob table's "
+        "setters so spawned workers stay in sync"
     )
 
     def check_file(self, source: SourceFile) -> List[Finding]:
@@ -64,7 +64,7 @@ class EnvMirrorRule(Rule):
             offender = _environ_write(node)
             if offender is None:
                 continue
-            if source.name == "parallel.py":
+            if source.name == "knobs.py":
                 enclosing = source.enclosing_class(node)
                 if enclosing is not None and enclosing.name == "EnvMirroredOverride":
                     continue

@@ -11,8 +11,8 @@ total: **if you accept a knob and your callee accepts the same knob, you
 forward it explicitly.**
 
 Mechanically, for every function ``F`` in product code with a parameter
-whose name is a declared knob (the lowercased remainder of a ``REPRO_*``
-variable — see :meth:`repro.lint.semantics.symbols.Project.knob_names`),
+whose name is a declared knob (a row name of the :mod:`repro.knobs`
+table — see :meth:`repro.lint.semantics.symbols.Project.knob_names`),
 and every call site of ``F`` resolving to a project-owned callee ``G``
 whose signature has the same parameter: the site must bind it — by
 keyword (``backend=backend``, or an explicit pin like ``weighted="off"``,

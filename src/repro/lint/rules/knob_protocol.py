@@ -1,42 +1,37 @@
-"""``knob-protocol``: every ``REPRO_*`` knob carries its full surface.
+"""``knob-protocol``: every ``REPRO_*`` variable lives in the knob table.
 
 The protocol (ROADMAP, "Architecture invariants"): every toggle resolves
-arg > ``set_default_*`` override > ``REPRO_*`` env > default, and is
-reachable from all three entry points — programmatic (the
-``set_default_*`` / ``set_*_enabled`` override), command line (a
-``--knob-name`` flag in ``cli.py``) and experiment configs (an
-``ExperimentConfig`` field).  Env-only knobs drift: they work on the
-machine that exported the variable and silently fall back everywhere
-else.  This is the one cross-module rule — it audits the whole file set
-at once:
+arg > override > ``REPRO_*`` env > default, mirrors its override into the
+variable for spawn workers, and is reachable from the command line and
+from ``ExperimentConfig``.  :mod:`repro.knobs` generates all of that from
+one table row, and ``tests/test_knobs.py`` proves it row by row.  What
+remains to police is the way around the table: a variable declared or
+read anywhere else works on the machine that exported it and silently
+falls back everywhere else.
 
-* a knob is *declared* by a module-level ``X_ENV_VAR = "REPRO_FOO"``
-  constant or a literal ``os.environ.get("REPRO_FOO")`` read in
-  non-test/bench code;
-* the knob name is the lowercased remainder (``REPRO_DAG_CACHE_SIZE`` →
-  ``dag_cache_size``), and the rule then requires a
-  ``set_default_dag_cache_size``/``set_dag_cache_size_enabled``
-  function somewhere in the project, a ``--dag-cache-size`` flag string
-  in a ``cli.py``, and a ``dag_cache_size`` field on ``ExperimentConfig``.
+In product code (test, benchmark, example and fixture code, and the lint
+package itself, are exempt) the rule flags, outside any ``knobs.py``:
 
-One finding per env var, anchored at its declaration, listing every
-missing surface.
+* every ``"REPRO_*"`` string literal — a ``X_ENV_VAR = "REPRO_FOO"``
+  declaration, an ``os.environ.get("REPRO_FOO")`` read, a subscript;
+* every ``os.environ``/``os.getenv`` read keyed by a ``*_ENV_VAR`` name,
+  which reads a table variable around the table's parser.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.lint.model import Finding, Rule, SourceFile
-from repro.lint.rules.common import dotted_name
+from repro.lint.rules.common import dotted_name, is_os_environ
 
 _ENV_VALUE_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
-#: Path components whose files neither declare knobs nor count as knob
-#: surfaces: test/bench/fixture code reads knobs, it does not define
-#: them, and the lint package's own cli.py is not the product CLI.
+#: Path components whose files may name knob variables freely: tests,
+#: benchmarks and examples pin knobs on purpose, fixture twins are
+#: deliberate violations, and the lint package describes the rule.
 DEFAULT_EXCLUDE_PARTS: Tuple[str, ...] = (
     "tests",
     "benchmarks",
@@ -45,21 +40,34 @@ DEFAULT_EXCLUDE_PARTS: Tuple[str, ...] = (
     "lint",
 )
 
+_READ_FUNCTIONS = ("os.environ.get", "os.getenv")
 
-def _env_constant(node: ast.AST) -> str:
-    """The ``REPRO_*`` value if ``node`` is a literal matching it."""
+
+def _env_var_name(node: ast.AST) -> bool:
+    name = dotted_name(node)
+    return name is not None and name.endswith("_ENV_VAR")
+
+
+def _offence(node: ast.AST) -> str:
+    """What ``node`` does with a knob variable outside the table, or ``""``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         if _ENV_VALUE_RE.match(node.value):
-            return node.value
+            return f"names {node.value}"
+    elif isinstance(node, ast.Call):
+        if dotted_name(node.func) in _READ_FUNCTIONS and node.args:
+            if _env_var_name(node.args[0]):
+                return f"reads {dotted_name(node.args[0])}"
+    elif isinstance(node, ast.Subscript) and is_os_environ(node.value):
+        if _env_var_name(node.slice):
+            return f"reads {dotted_name(node.slice)}"
     return ""
 
 
 class KnobProtocolRule(Rule):
     rule_id = "knob-protocol"
     description = (
-        "every REPRO_* env var read in product code needs the full knob "
-        "surface: a set_default_*/set_*_enabled override, a --flag in "
-        "cli.py, and an ExperimentConfig field"
+        "every REPRO_* variable is declared and read only in repro/knobs.py; "
+        "add a row to the knob table instead of reading the environment"
     )
 
     def __init__(
@@ -67,101 +75,26 @@ class KnobProtocolRule(Rule):
     ) -> None:
         self.exclude_parts = tuple(exclude_parts)
 
-    def _included(self, source: SourceFile) -> bool:
-        return source.tree is not None and not any(
-            part in self.exclude_parts for part in source.parts
-        )
-
-    # ------------------------------------------------------------------
-    def _declarations(
-        self, sources: Sequence[SourceFile]
-    ) -> Dict[str, Tuple[SourceFile, ast.AST]]:
-        """env var value → (file, declaring node), first site wins."""
-        declared: Dict[str, Tuple[SourceFile, ast.AST]] = {}
-        for source in sources:
-            if not self._included(source):
-                continue
-            assert source.tree is not None
-            for node in ast.walk(source.tree):
-                value = ""
-                if isinstance(node, ast.Assign):
-                    if any(
-                        isinstance(target, ast.Name)
-                        and target.id.endswith("_ENV_VAR")
-                        for target in node.targets
-                    ):
-                        value = _env_constant(node.value)
-                elif isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    if name in ("os.environ.get", "os.getenv") and node.args:
-                        value = _env_constant(node.args[0])
-                if value and value not in declared:
-                    declared[value] = (source, node)
-        return declared
-
-    def _surfaces(
-        self, sources: Sequence[SourceFile]
-    ) -> Tuple[Set[str], Set[str], Set[str]]:
-        """(function names, cli flag strings, ExperimentConfig fields)."""
-        functions: Set[str] = set()
-        flags: Set[str] = set()
-        fields: Set[str] = set()
-        for source in sources:
-            if not self._included(source):
-                continue
-            assert source.tree is not None
-            is_cli = source.name == "cli.py"
-            for node in ast.walk(source.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    functions.add(node.name)
-                elif (
-                    is_cli
-                    and isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and node.value.startswith("--")
-                ):
-                    flags.add(node.value)
-                elif isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig":
-                    for statement in node.body:
-                        if isinstance(statement, ast.AnnAssign) and isinstance(
-                            statement.target, ast.Name
-                        ):
-                            fields.add(statement.target.id)
-        return functions, flags, fields
-
-    # ------------------------------------------------------------------
-    def check_project(self, sources: Sequence[SourceFile]) -> List[Finding]:
-        declared = self._declarations(sources)
-        if not declared:
+    def check_file(self, source: SourceFile) -> List[Finding]:
+        if (
+            source.tree is None
+            or source.name == "knobs.py"
+            or any(part in self.exclude_parts for part in source.parts)
+        ):
             return []
-        functions, flags, fields = self._surfaces(sources)
         findings: List[Finding] = []
-        for env_value in sorted(declared):
-            source, node = declared[env_value]
-            knob = env_value[len("REPRO_"):].lower()
-            missing: List[str] = []
-            if (
-                f"set_default_{knob}" not in functions
-                and f"set_{knob}_enabled" not in functions
-            ):
-                missing.append(
-                    f"no set_default_{knob}()/set_{knob}_enabled() override"
-                )
-            flag = "--" + knob.replace("_", "-")
-            if flag not in flags:
-                missing.append(f"no {flag} flag in cli.py")
-            if knob not in fields:
-                missing.append(f"no ExperimentConfig.{knob} field")
-            if missing:
+        for node in ast.walk(source.tree):
+            offence = _offence(node)
+            if offence:
                 findings.append(
                     source.finding(
                         self.rule_id,
                         node,
-                        f"{env_value} is an incomplete knob: "
-                        + "; ".join(missing)
-                        + " (the protocol is arg > set_default override "
-                        "> env > default, reachable from the CLI and "
-                        "ExperimentConfig)",
+                        f"{offence} outside the knob table: declare the "
+                        "knob as a row of repro/knobs.py and resolve it "
+                        "through the row (arg > override > env > default, "
+                        "mirrored for spawn workers, with a --flag and an "
+                        "ExperimentConfig field)",
                     )
                 )
         return findings

@@ -124,15 +124,12 @@ class Project:
         self.symbols: Dict[str, ModuleSymbols] = {
             info.source.path: ModuleSymbols(info) for info in self.index.modules
         }
-        #: ``REPRO_*`` env value → every (file, declaring node) site, in
-        #: file order.  Declarations are ``X_ENV_VAR = "REPRO_X"``
-        #: constants and literal ``os.environ.get``/``os.getenv`` reads —
-        #: the same discovery the knob-protocol rule audits.
-        self.env_declarations: Dict[str, List[Tuple[SourceFile, ast.AST]]] = {}
-        #: ``ExperimentConfig`` field names seen anywhere in the run.
-        self.config_fields: Set[str] = set()
-        #: ``set_default_*`` / ``set_*_enabled`` override functions by name.
-        self.setter_registry: Dict[str, FunctionInfo] = {}
+        #: knob name → every (file, declaring node) site, in file order.
+        #: A knob is declared by a row of the knob table — a
+        #: ``*Knob("name", "REPRO_NAME", ...)`` call — or, in code outside
+        #: the table, by an ``X_ENV_VAR = "REPRO_X"`` constant or a literal
+        #: ``os.environ.get``/``os.getenv`` read (knob ``x``).
+        self.knob_declarations: Dict[str, List[Tuple[SourceFile, ast.AST]]] = {}
         self._collect()
 
     # ------------------------------------------------------------------
@@ -141,52 +138,44 @@ class Project:
             tree = info.source.tree
             assert tree is not None
             for node in ast.walk(tree):
-                value = ""
+                knob = ""
                 if isinstance(node, ast.Assign):
                     if any(
                         isinstance(target, ast.Name)
                         and target.id.endswith("_ENV_VAR")
                         for target in node.targets
                     ):
-                        value = _env_constant(node.value)
-                elif isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    if name in ("os.environ.get", "os.getenv") and node.args:
-                        value = _env_constant(node.args[0])
-                elif isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig":
-                    for statement in node.body:
-                        if isinstance(statement, ast.AnnAssign) and isinstance(
-                            statement.target, ast.Name
+                        knob = _env_constant(node.value)[len("REPRO_"):].lower()
+                elif isinstance(node, ast.Call) and node.args:
+                    name = dotted_name(node.func) or ""
+                    if name in ("os.environ.get", "os.getenv"):
+                        knob = _env_constant(node.args[0])[len("REPRO_"):].lower()
+                    elif name.endswith("Knob") and len(node.args) >= 2:
+                        row_name = node.args[0]
+                        if _env_constant(node.args[1]) and isinstance(
+                            row_name, ast.Constant
                         ):
-                            self.config_fields.add(statement.target.id)
-                if value:
-                    self.env_declarations.setdefault(value, []).append(
+                            knob = str(row_name.value)
+                if knob:
+                    self.knob_declarations.setdefault(knob, []).append(
                         (info.source, node)
                     )
-            for function in self.symbols[info.source.path].functions.values():
-                if function.name.startswith("set_default_") or (
-                    function.name.startswith("set_")
-                    and function.name.endswith("_enabled")
-                ):
-                    self.setter_registry.setdefault(function.name, function)
 
     # ------------------------------------------------------------------
     def knob_names(self, exclude_parts: Sequence[str] = ()) -> Set[str]:
         """The knob parameter names the project declares.
 
-        A knob is the lowercased remainder of a declared ``REPRO_*``
-        variable (``REPRO_SSSP_KERNEL`` → ``sssp_kernel``); declarations in
-        files whose path contains an excluded part (tests, benchmarks, the
-        lint package itself) do not mint knobs.
+        Declarations in files whose path contains an excluded part (tests,
+        benchmarks, the lint package itself) do not mint knobs.
         """
-        knobs: Set[str] = set()
-        for env_value, sites in self.env_declarations.items():
-            for source, _node in sites:
-                if any(part in exclude_parts for part in source.parts):
-                    continue
-                knobs.add(env_value[len("REPRO_"):].lower())
-                break
-        return knobs
+        return {
+            knob
+            for knob, sites in self.knob_declarations.items()
+            if any(
+                not any(part in exclude_parts for part in source.parts)
+                for source, _node in sites
+            )
+        }
 
     def module_of(self, source: SourceFile) -> Optional[ModuleInfo]:
         return self.index.by_path.get(source.path)

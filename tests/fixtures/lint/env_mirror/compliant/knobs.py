@@ -1,4 +1,4 @@
-"""Compliant twin: writes only inside EnvMirroredOverride."""
+"""Compliant twin: writes only inside knobs.py's EnvMirroredOverride."""
 
 import os
 

@@ -1,18 +1,15 @@
-"""Compliant twin: the full knob surface for REPRO_FROB."""
+"""Compliant twin, the table: REPRO_FROB is declared as one row."""
 
 import os
 
-FROB_ENV_VAR = "REPRO_FROB"
 
-_default_frob = None
+class SwitchKnob:
+    def __init__(self, name, env_var):
+        self.name = name
+        self.env_var = env_var
+
+    def resolve(self):
+        return os.environ.get(self.env_var, "") not in ("", "0")
 
 
-def set_default_frob(value):
-    global _default_frob
-    _default_frob = value
-
-
-def frob_enabled():
-    if _default_frob is not None:
-        return _default_frob
-    return os.environ.get(FROB_ENV_VAR, "") not in ("", "0")
+FROB = SwitchKnob("frob", "REPRO_FROB")

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro import knobs
 from repro.graphs import compiled as compiled_module
 from repro.graphs import csr as csr_module
 from repro.graphs import delta_stepping as delta_module
@@ -40,7 +41,7 @@ class TestSSSPKernelKnob:
         try:
             assert sssp.resolve_sssp_kernel() == "delta"
             # The override mirrors into the environment for spawn workers.
-            assert sssp._env_sssp_kernel() == "delta"
+            assert knobs.SSSP_KERNEL.env() == "delta"
         finally:
             sssp.set_default_sssp_kernel(None)
         assert sssp.resolve_sssp_kernel() == "dijkstra"  # displaced env restored
@@ -107,7 +108,7 @@ class TestCompiledKnob:
         compiled_module.set_default_compiled("off")
         try:
             assert compiled_module.resolve_compiled() == "off"
-            assert compiled_module._env_compiled() == "off"
+            assert knobs.COMPILED.env() == "off"
         finally:
             compiled_module.set_default_compiled(None)
 

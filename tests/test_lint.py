@@ -115,17 +115,18 @@ class TestRuleFixtures:
         # private import, the while-frontier loop, and the attribute use.
         assert len(lines) == 3
 
-    def test_knob_protocol_names_every_missing_surface(self):
+    def test_knob_protocol_flags_each_read_around_the_table(self):
         report = _lint_fixture(
             KnobProtocolRule(exclude_parts=()),
             FIXTURES / "knob_protocol" / "violation",
         )
-        assert len(report.findings) == 1
-        message = report.findings[0].message
-        assert "REPRO_FROB" in message
-        assert "set_default_frob" in message
-        assert "--frob" in message
-        assert "ExperimentConfig.frob" in message
+        messages = [f.message for f in sorted(report.findings, key=Finding.sort_key)]
+        # The declaration, the literal read, the *_ENV_VAR-keyed read.
+        assert len(messages) == 3
+        assert messages[0].startswith("names REPRO_FROB outside the knob table")
+        assert messages[1].startswith("names REPRO_FROB")
+        assert messages[2].startswith("reads FROB_ENV_VAR")
+        assert all("repro/knobs.py" in message for message in messages)
 
     def test_float_fold_ignores_non_kernel_modules(self):
         source = SourceFile("pkg/analysis.py", "total = values.sum()\n", KNOWN)

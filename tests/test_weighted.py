@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from repro import knobs
 from repro.errors import DatasetError, GraphError
 from repro.graphs import csr as csr_module
 from repro.graphs import sssp
@@ -275,7 +276,7 @@ class TestWeightedKnob:
         try:
             assert sssp.resolve_weighted() == "on"
             # The override mirrors into the environment for spawn workers.
-            assert sssp._env_weighted() == "on"
+            assert knobs.WEIGHTED.env() == "on"
         finally:
             sssp.set_default_weighted(None)
         assert sssp.resolve_weighted() == "off"  # displaced env restored
@@ -321,44 +322,14 @@ class TestWeightedKnob:
 
 
 class TestSigmaChoiceRename:
-    def test_alias_warns_and_delegates(self):
+    def test_canonical_name_does_not_warn(self):
         from repro.graphs import traversal
 
-        rng = random.Random(0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert csr_module.weighted_choice(["x"], [5], rng) == "x"
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "sigma_choice" in str(caught[0].message)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert traversal._weighted_choice(["y"], [3], rng) == "y"
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "sigma_choice" in str(caught[0].message)
-
-    def test_canonical_name_does_not_warn(self):
         rng = random.Random(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert csr_module.sigma_choice(["x"], [5], rng) == "x"
-
-    def test_aliases_delegate_bit_identically(self):
-        rng_alias, rng_canonical = random.Random(42), random.Random(42)
-        population = list(range(10))
-        sigmas = [i + 1 for i in range(10)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            picks_alias = [
-                csr_module.weighted_choice(population, sigmas, rng_alias)
-                for _ in range(50)
-            ]
-        picks_canonical = [
-            csr_module.sigma_choice(population, sigmas, rng_canonical)
-            for _ in range(50)
-        ]
-        assert picks_alias == picks_canonical
+            assert traversal.sigma_choice(["y"], [3], rng) == "y"
 
 
 class TestDictDijkstraOracle:

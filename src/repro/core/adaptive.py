@@ -31,17 +31,24 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
 
     ``payload`` carries either a problem object exposing ``sample_losses`` (a
     picklable payload, required for ``workers > 1``) or the bare sampler
-    callable (serial in-process execution only).  The chunk draws from its
-    own seeded RNG stream, so partials are identical in any process.
+    callable (serial in-process execution only).  A problem that also
+    exposes ``sample_losses_batch(rng, draws)`` draws the whole chunk in one
+    call (its own, fixed RNG order).  The chunk draws from its own seeded
+    RNG stream, so partials are identical in any process.
     """
     sampler, num_hypotheses, base_seed = payload
     chunk_index, draws = piece
     rng = _parallel.chunk_rng(base_seed, chunk_index)
-    sample = getattr(sampler, "sample_losses", sampler)
+    batch = getattr(sampler, "sample_losses_batch", None)
+    if batch is not None:
+        samples = batch(rng, draws)
+    else:
+        sample = getattr(sampler, "sample_losses", sampler)
+        samples = (sample(rng) for _ in range(draws))
     totals = [0.0] * num_hypotheses
     totals_sq = [0.0] * num_hypotheses
-    for _ in range(draws):
-        for index, loss in sample(rng).items():
+    for losses in samples:
+        for index, loss in losses.items():
             totals[index] += loss
             totals_sq[index] += loss * loss
     # Problems with sampling diagnostics (e.g. Gen_bc rejection counters)

@@ -11,7 +11,11 @@ Dijkstra kernels while unit-weight graphs keep the exact BFS hot paths.
 from __future__ import annotations
 
 from repro.graphs.biconnected import BiconnectedDecomposition, biconnected_components
-from repro.graphs.bidirectional import BidirectionalBFSResult, bidirectional_shortest_paths
+from repro.graphs.bidirectional import (
+    BidirectionalBFSResult,
+    bidirectional_shortest_paths,
+    bidirectional_shortest_paths_batch,
+)
 from repro.graphs.block_cut_tree import BlockCutTree, build_block_cut_tree
 from repro.graphs.csr import (
     BACKENDS,
@@ -120,6 +124,7 @@ __all__ = [
     "sample_shortest_path",
     "ShortestPathDAG",
     "bidirectional_shortest_paths",
+    "bidirectional_shortest_paths_batch",
     "BidirectionalBFSResult",
     "connected_components",
     "largest_connected_component",

@@ -22,6 +22,15 @@ and a CSR variant expanding whole levels over integer index arrays.  Both
 produce identical results — including identical sampled paths from identical
 seeds.
 
+:func:`bidirectional_shortest_paths_batch` searches many pairs at once.
+With numpy it stacks them into one per-slot
+:class:`repro.graphs.csr._BatchSweep` holding a forward and a backward slot
+per pair, so the thin frontiers of high-diameter graphs merge into one
+vectorised frontier — the multi-source amortisation of Then et al. ("The
+More the Merrier", PVLDB 2014) applied to the balanced search.  Every pair
+still expands its own cheaper side and has its own meeting and stop test,
+so it returns exactly what the per-pair search returns.
+
 The search is defined on *hop* distances: its balanced level expansion is a
 unit-weight optimisation.  Weighted workloads sample shortest paths from
 the Dijkstra source DAGs of the unified SSSP engine instead (see
@@ -32,7 +41,7 @@ the Dijkstra source DAGs of the unified SSSP engine instead (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as _csr
@@ -50,6 +59,19 @@ Node = Hashable
 #: arrays per query, so the array kernels need a much larger graph to pay
 #: off than a full-graph BFS does.
 AUTO_CSR_BIDIRECTIONAL_THRESHOLD = 16384
+
+#: Flat-slot budget of one stacked search (two slots of ``n`` ids per row,
+#: 16 bytes of state per id): about 0.75 MB, i.e. 32 rows on a 700-node
+#: road block.  Longer pair lists run in equal successive sub-batches,
+#: which never changes results.
+_STACKED_SLOTS = 48 * 1024
+
+#: ``auto`` runs fewer pairs than this one at a time: a stacked search pays
+#: a few dozen numpy calls per level, which only a full batch amortises.
+_STACKED_MIN_ROWS = 8
+
+#: Best-meeting placeholder of a row whose sides have not met yet.
+_NO_MEETING = 2**62
 
 
 @dataclass
@@ -117,19 +139,18 @@ class BidirectionalBFSResult:
 class _SearchSide:
     """One direction of the bidirectional search (complete BFS levels)."""
 
-    __slots__ = ("root", "dist", "sigma", "preds", "frontier", "level")
+    __slots__ = ("root", "dist", "sigma", "preds", "frontier", "level", "cost")
 
-    def __init__(self, root: Node) -> None:
+    def __init__(self, graph: Graph, root: Node) -> None:
         self.root = root
         self.dist: Dict[Node, int] = {root: 0}
         self.sigma: Dict[Node, int] = {root: 1}
         self.preds: Dict[Node, List[Node]] = {root: []}
         self.frontier: List[Node] = [root]
         self.level: int = 0
-
-    def frontier_cost(self, graph: Graph) -> int:
-        """Total degree of the frontier — the cost of expanding one level."""
-        return sum(graph.degree(node) for node in self.frontier)
+        #: Total degree of the frontier — the cost of expanding one level,
+        #: computed once per expansion rather than once per side choice.
+        self.cost: int = graph.degree(root)
 
     def expand(self, graph: Graph) -> int:
         """Expand one complete BFS level; return the number of scanned entries."""
@@ -151,6 +172,7 @@ class _SearchSide:
                     self.preds[neighbor].append(node)
         self.frontier = next_frontier
         self.level = next_level
+        self.cost = sum(map(graph.degree, next_frontier))
         return scanned
 
     def sample_path_to(self, node: Node, rng) -> List[Node]:
@@ -177,7 +199,7 @@ class _CSRSearchSide:
     (predecessor reconstruction and path sampling back to the root).
     """
 
-    __slots__ = ("csr", "root", "sweep", "_pred_groups")
+    __slots__ = ("csr", "root", "sweep", "cost", "_pred_groups")
 
     def __init__(self, csr, root: int) -> None:
         self.csr = csr
@@ -186,6 +208,8 @@ class _CSRSearchSide:
         self.sweep = _csr._BatchSweep(
             csr, (root,), sigma_mode="int", track_edges=True
         )
+        #: Total frontier degree, carried forward from the last expansion.
+        self.cost: int = self.sweep.frontier_cost()
         # Lazily built per-level ``{head: [tails]}`` groupings, so repeated
         # path sampling pays one scan of a level's edge list, not one per
         # visited node.
@@ -216,16 +240,11 @@ class _CSRSearchSide:
     def sigma(self):
         return self.sweep.sigma
 
-    def frontier_cost(self) -> int:
-        return self.sweep.frontier_cost()
-
-    def expand(self, frontier_cost: Optional[int] = None) -> int:
-        """Expand one complete BFS level; return the number of scanned entries.
-
-        ``frontier_cost`` lets the caller pass the total frontier degree it
-        already computed for side selection instead of rescanning it here.
-        """
-        return self.sweep.expand(frontier_cost)
+    def expand(self) -> int:
+        """Expand one complete BFS level; return the number of scanned entries."""
+        scanned = self.sweep.expand(self.cost)
+        self.cost = self.sweep.frontier_cost()
+        return scanned
 
     def preds_of(self, node: int) -> List[int]:
         """Predecessor indices of ``node`` in the dict backend's append order."""
@@ -290,25 +309,87 @@ def bidirectional_shortest_paths(
     GraphError
         If either endpoint does not exist or ``source == target``.
     """
+    _check_pair(graph, source, target)
+    return _per_pair_search(graph, backend)(graph, source, target)
+
+
+def bidirectional_shortest_paths_batch(
+    graph: Graph,
+    pairs: Sequence[Tuple[Node, Node]],
+    *,
+    backend: Optional[str] = None,
+) -> Iterator[BidirectionalBFSResult]:
+    """Search every ``(source, target)`` pair; yield the results in order.
+
+    Each result equals what :func:`bidirectional_shortest_paths` returns
+    for its pair — distance, ``sigma_st``, cut level, cut nodes, visited
+    edges — and samples the same paths from the same RNG state.  With
+    numpy and the CSR backend (explicit, or ``auto`` on graphs of at least
+    ``AUTO_CSR_THRESHOLD`` nodes + edges with at least
+    ``_STACKED_MIN_ROWS`` pairs and room for two per sub-batch) the pairs
+    run stacked, at most ``_STACKED_SLOTS // (2 n)`` per sub-batch;
+    otherwise they run one at a time.  Searches run lazily as results are consumed and draw no random
+    numbers, so interleaving path sampling with the iteration is safe.
+
+    Raises
+    ------
+    GraphError
+        If an endpoint does not exist or a pair repeats a node (checked
+        for every pair before any search runs).
+    """
+    pairs = list(pairs)
+    for source, target in pairs:
+        _check_pair(graph, source, target)
+    if _runs_stacked(graph, backend, len(pairs)):
+        return _stacked_searches(_csr.as_csr(graph), pairs)
+    search = _per_pair_search(graph, backend)
+    return (search(graph, source, target) for source, target in pairs)
+
+
+def _runs_stacked(graph: Graph, backend: Optional[str], rows: int) -> bool:
+    """Whether a batch of ``rows`` pairs takes the stacked kernel."""
+    if not _csr.HAS_NUMPY:
+        return False
+    # ``auto`` stacks only full enough batches: one stacked pair pays more
+    # bookkeeping per level than the per-pair CSR search.
+    if _csr.resolve_backend(backend) == _csr.AUTO_BACKEND and (
+        rows < _STACKED_MIN_ROWS or _stack_capacity(graph.number_of_nodes()) < 2
+    ):
+        return False
+    choice = _csr.effective_backend(
+        graph, backend, auto_threshold=_csr.AUTO_CSR_THRESHOLD
+    )
+    return choice == _csr.CSR_BACKEND
+
+
+def _stack_capacity(n: int) -> int:
+    """Pairs per stacked sub-batch on an ``n``-node graph."""
+    return max(1, _STACKED_SLOTS // (2 * max(1, n)))
+
+
+def _check_pair(graph: Graph, source: Node, target: Node) -> None:
     if not graph.has_node(source):
         raise GraphError(f"source node {source!r} does not exist")
     if not graph.has_node(target):
         raise GraphError(f"target node {target!r} does not exist")
     if source == target:
         raise GraphError("source and target must be distinct")
+
+
+def _per_pair_search(graph: Graph, backend: Optional[str]):
     choice = _csr.effective_backend(
         graph, backend, auto_threshold=AUTO_CSR_BIDIRECTIONAL_THRESHOLD
     )
     if choice == _csr.CSR_BACKEND:
-        return _bidirectional_csr(graph, source, target)
-    return _bidirectional_dict(graph, source, target)
+        return _bidirectional_csr
+    return _bidirectional_dict
 
 
 def _bidirectional_dict(
     graph: Graph, source: Node, target: Node
 ) -> BidirectionalBFSResult:
-    forward = _SearchSide(source)
-    backward = _SearchSide(target)
+    forward = _SearchSide(graph, source)
+    backward = _SearchSide(graph, target)
     visited_edges = 0
     best = None  # best known meeting distance
 
@@ -319,7 +400,7 @@ def _bidirectional_dict(
         # Choose the cheaper side that still has a frontier to expand.
         side: Optional[_SearchSide]
         if forward.frontier and backward.frontier:
-            if forward.frontier_cost(graph) <= backward.frontier_cost(graph):
+            if forward.cost <= backward.cost:
                 side = forward
             else:
                 side = backward
@@ -402,14 +483,8 @@ def _bidirectional_csr(
         if best is not None and best <= level_sum:
             break
         side: Optional[_CSRSearchSide]
-        side_cost: Optional[int] = None
         if forward.has_frontier and backward.has_frontier:
-            forward_cost = forward.frontier_cost()
-            backward_cost = backward.frontier_cost()
-            if forward_cost <= backward_cost:
-                side, side_cost = forward, forward_cost
-            else:
-                side, side_cost = backward, backward_cost
+            side = forward if forward.cost <= backward.cost else backward
         elif forward.has_frontier:
             side = forward
         elif backward.has_frontier:
@@ -427,7 +502,7 @@ def _bidirectional_csr(
                 )
             break
         other = backward if side is forward else forward
-        visited_edges += side.expand(side_cost)
+        visited_edges += side.expand()
         best = _best_meeting(side, other, best)
 
     distance = best
@@ -490,3 +565,166 @@ def _best_meeting(side: _CSRSearchSide, other: _CSRSearchSide, best):
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+# ---------------------------------------------------------------------------
+# Stacked search: K pairs as the rows of one per-slot sweep with 2K slots
+# ---------------------------------------------------------------------------
+def _stacked_searches(snapshot, pairs) -> Iterator[BidirectionalBFSResult]:
+    # Equal sub-batches: a level costs about the same for few rows as for
+    # many, and every sub-batch runs as many levels as its longest row.
+    # Each sub-batch is searched only once the previous one's results have
+    # all been handed out.
+    batches = -(-len(pairs) // _stack_capacity(snapshot.n))
+    rows = -(-len(pairs) // max(1, batches))
+    for start in range(0, len(pairs), rows):
+        yield from _stacked_search(snapshot, pairs[start : start + rows])
+
+
+def _stacked_search(snapshot, pairs) -> List[BidirectionalBFSResult]:
+    """Run ``len(pairs)`` balanced searches as the rows of one stacked sweep.
+
+    With ``K`` pairs the sweep has ``2K`` slots: slot ``k`` is row ``k``'s
+    forward search (rooted at its source), slot ``K + k`` its backward
+    search (rooted at its target), so one kernel call per level expands
+    both directions of every row.  Per level each live row expands only
+    its cheaper side (total degree carried forward from that side's last
+    expansion), updates its own best meeting distance and stops once
+    ``best <= level_f + level_b`` — the per-pair loop, row by row.
+    """
+    n = snapshot.n
+    rows = len(pairs)
+    index = snapshot.index
+    # repro-lint: disable=kernel-ownership — audited: the stacked search drives the shared kernel through its per-slot mask instead of a private loop
+    sweep = _csr._BatchSweep(
+        snapshot,
+        [index[source] for source, _ in pairs]
+        + [index[target] for _, target in pairs],
+        sigma_mode="int",
+        per_slot=True,
+    )
+    depth, count, cost = sweep.slot_depth, sweep.slot_count, sweep.slot_cost
+    half = rows * n  # flat offset from a forward id to its backward twin
+    best = _np.full(rows, _NO_MEETING, dtype=_np.int64)
+    scanned = _np.zeros(2 * rows, dtype=_np.int64)
+    live = _np.ones(rows, dtype=bool)
+    while True:
+        live &= best > depth[:rows] + depth[rows:]
+        forward_open = count[:rows] > 0
+        backward_open = count[rows:] > 0
+        live &= forward_open | backward_open
+        if not live.any():
+            break
+        go_forward = live & forward_open & ~(
+            backward_open & (cost[:rows] > cost[rows:])
+        )
+        active = _np.concatenate((go_forward, live & ~go_forward))
+        costs = _np.where(active, cost, 0)
+        scanned += costs
+        sweep.expand(int(costs.sum()), active=active)
+        fresh = sweep.levels[-1]
+        twin_dist = sweep.dist[(fresh + half) % (2 * half)]
+        met = twin_dist >= 0
+        if met.any():
+            slots = fresh[met] // n
+            for row, candidate in zip(
+                (slots % rows).tolist(), (depth[slots] + twin_dist[met]).tolist()
+            ):
+                if candidate < best[row]:
+                    best[row] = candidate
+    return _row_results(sweep, pairs, best, (scanned[:rows] + scanned[rows:]).tolist())
+
+
+def _row_results(sweep, pairs, best, visited) -> List[BidirectionalBFSResult]:
+    """Per-row results of a finished stacked search (see :func:`_stacked_search`)."""
+    rows = len(pairs)
+    n = sweep.n
+    half = rows * n
+    depth = sweep.slot_depth
+    dist = sweep.dist.reshape(2 * rows, n)
+    # Cut nodes: forward depth ``cut``, backward depth ``best - cut``, in
+    # forward discovery order (the rank within their level).
+    cut_levels = _np.minimum(_np.maximum(best - depth[rows:], 0), depth[:rows])
+    on_cut = (dist[:rows] == cut_levels[:, None]) & (
+        dist[rows:] == (best - cut_levels)[:, None]
+    )
+    flat = _np.flatnonzero(on_cut)
+    flat_rows = flat // n
+    # Ranks are below ``sweep.size``, so the row-major keys are unique.
+    flat = flat[_np.argsort(flat_rows * sweep.size + sweep.scratch[flat])]
+    ends = _np.cumsum(_np.bincount(flat_rows, minlength=rows)).tolist()
+    sigma = sweep.sigma
+    if sweep.sigma_view is not None:
+        forward_sigma = sweep.sigma_view[flat].tolist()
+        backward_sigma = sweep.sigma_view[flat + half].tolist()
+    else:
+        forward_sigma = [sigma[v] for v in flat.tolist()]
+        backward_sigma = [sigma[v + half] for v in flat.tolist()]
+    labels = sweep.csr.labels
+    nodes = (flat % n).tolist()
+    results = []
+    start = 0
+    for row, (source, target) in enumerate(pairs):
+        stop = ends[row]
+        if best[row] == _NO_MEETING:
+            results.append(BidirectionalBFSResult(
+                source=source, target=target, distance=None,
+                num_shortest_paths=0, visited_edges=visited[row],
+            ))
+            continue
+        cut_nodes: Dict[Node, tuple] = {}
+        sigma_total = 0
+        for position in range(start, stop):
+            pair = (forward_sigma[position], backward_sigma[position])
+            cut_nodes[labels[nodes[position]]] = pair
+            sigma_total += pair[0] * pair[1]
+        start = stop
+        results.append(BidirectionalBFSResult(
+            source=source, target=target, distance=int(best[row]),
+            num_shortest_paths=sigma_total, cut_level=int(cut_levels[row]),
+            cut_nodes=cut_nodes, visited_edges=visited[row],
+            _forward=_StackedSideView(sweep, row),
+            _backward=_StackedSideView(sweep, rows + row),
+        ))
+    return results
+
+
+class _StackedSideView:
+    """Path-sampling view of one slot of a stacked search (the label-facing
+    counterpart of :class:`_CSRSideView`).
+
+    A node's predecessors are its neighbours one level up, in the order
+    they were discovered (the dict backend's append order), so the walk
+    needs no predecessor lists: one adjacency slice, a distance test and,
+    for several predecessors, a sort by the per-slot sweep's discovery
+    rank.
+    """
+
+    __slots__ = ("sweep", "slot")
+
+    def __init__(self, sweep, slot: int) -> None:
+        self.sweep = sweep
+        self.slot = slot
+
+    def sample_path_to(self, node: Node, rng) -> List[Node]:
+        sweep = self.sweep
+        csr = sweep.csr
+        indptr, indices = csr.adjacency_lists()
+        dist, sigma, rank = sweep.dist_store, sweep.sigma, sweep.scratch
+        base = self.slot * sweep.n
+        local = csr.index[node]
+        up = dist[base + local]
+        path = [local]
+        while up:
+            up -= 1
+            preds = [
+                base + neighbor
+                for neighbor in indices[indptr[local] : indptr[local + 1]]
+                if dist[base + neighbor] == up
+            ]
+            if len(preds) > 1:
+                preds.sort(key=rank.item)
+            local = sigma_choice(preds, [sigma[flat] for flat in preds], rng) - base
+            path.append(local)
+        labels = csr.labels
+        return [labels[local] for local in reversed(path)]

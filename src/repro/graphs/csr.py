@@ -60,7 +60,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import knobs as _knobs
-from repro.errors import GraphError
+from repro.errors import GraphError, SamplingError
 from repro.graphs import delta as _delta
 from repro.graphs.graph import Graph
 
@@ -742,8 +742,6 @@ class CSRShortestPathDAG:
         Consumes the RNG exactly like ``ShortestPathDAG.sample_path`` so both
         backends draw identical paths from identical seeds.
         """
-        from repro.errors import SamplingError
-
         if self.dist[target_index] < 0:
             raise SamplingError(
                 f"target {self.csr.labels[target_index]!r} is unreachable "
@@ -777,24 +775,25 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng):
         If the lengths differ (a silent ``zip`` truncation would otherwise
         return an arbitrary item), or if the total weight is not positive.
     """
-    from repro.errors import SamplingError
-
     if len(items) != len(weights):
         raise SamplingError(
             f"sigma_choice needs one weight per item, got {len(items)} "
             f"items but {len(weights)} weights"
         )
-    total = 0
-    for weight in weights:
-        total += weight
+    if len(weights) == 1:
+        # The common single-predecessor step: the same one draw, no scan.
+        if weights[0] <= 0:
+            raise SamplingError("cannot sample from an empty/zero-weight set")
+        rng.randrange(weights[0])
+        return items[0]
+    total = int(sum(weights))
     if total <= 0:
         raise SamplingError("cannot sample from an empty/zero-weight set")
     threshold = rng.randrange(total)
-    cumulative = 0
     for item, weight in zip(items, weights):
-        cumulative += weight
-        if threshold < cumulative:
+        if threshold < weight:
             return item
+        threshold -= weight
     return items[-1]
 
 
@@ -813,7 +812,8 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng):
 # :class:`_BatchSweep` below is the ONLY copy of this hybrid expansion and
 # of the int64→Python-int sigma overflow guard.  Every level-synchronous
 # consumer — ``_np_bfs``, ``_np_shortest_path_dag`` (and through it
-# ``csr_brandes``), the bidirectional ``_CSRSearchSide``, and the batched
+# ``csr_brandes``), the bidirectional ``_CSRSearchSide``, the stacked
+# bidirectional search (per-slot mode), and the batched
 # :func:`multi_source_sweep` — drives the same kernel, so the expansion
 # logic cannot silently diverge between call sites again.
 
@@ -845,11 +845,15 @@ def _sigma_may_overflow(frontier_max_sigma: int, max_degree: int) -> bool:
     return frontier_max_sigma * max_degree >= _SIGMA_INT64_LIMIT
 
 
-def _shared_state(n: int, typecode: str):
-    """Return ``(buffer, numpy view)`` over the same ``n``-element memory."""
-    store = array(typecode, bytes(8 * n))
-    view = _np.frombuffer(store, dtype=_np.int64 if typecode == "q" else _np.float64)
-    return store, view
+#: numpy dtype of each ``array`` typecode the traversal state uses.
+_STATE_DTYPES = {"q": "int64", "i": "int32", "d": "float64"}
+
+
+def _shared_state(n: int, typecode: str, fill: int = 0):
+    """Return ``(buffer, numpy view)`` over the same ``n``-element memory,
+    every element set to ``fill`` (built in place, no temporary copy)."""
+    store = array(typecode, [fill]) * n
+    return store, _np.frombuffer(store, dtype=_STATE_DTYPES[typecode])
 
 
 def _np_first_occurrence(values, scratch):
@@ -898,16 +902,29 @@ class _BatchSweep:
     track_edges:
         Record the per-level DAG edge arrays ``(u, v)`` in scan order (needed
         by predecessor reconstruction and the Brandes backward pass).
+    per_slot:
+        Let :meth:`expand` take an ``active`` slot mask, so slots advance
+        independently (the stacked bidirectional search expands each row's
+        cheaper side only).  Such a sweep keeps per-slot ``slot_depth``,
+        ``slot_count`` and ``slot_cost`` (frontier size and total degree,
+        carried forward from each slot's last expansion) and the node
+        ``degrees``; ``levels`` holds only the roots and the newest level,
+        and ``scratch[v]`` keeps every discovered id's rank within its level
+        (later levels only write undiscovered ids), i.e. the order in which
+        the nodes of one slot's level were discovered.  Dist and rank are
+        int32.  Needs numpy and a top-down sweep.
     """
 
     __slots__ = ("csr", "batch", "n", "size", "float_sigma", "track_edges",
                  "dist_store", "dist", "sigma", "sigma_view", "frontier",
                  "depth", "levels", "level_edges", "frontier_max_sigma",
                  "scratch", "direction", "bottom_up_levels",
+                 "slot_depth", "slot_count", "slot_cost", "degrees",
                  "_explored_cost", "_unvisited")
 
     def __init__(self, csr: CSRGraph, roots, *, sigma_mode: Optional[str] = None,
-                 track_edges: bool = False, direction: str = TOP_DOWN) -> None:
+                 track_edges: bool = False, direction: str = TOP_DOWN,
+                 per_slot: bool = False) -> None:
         if track_edges and sigma_mode is None:
             # Only the sigma-tracking loops record DAG edges; allowing the
             # combination would let the two expansion strategies disagree on
@@ -927,6 +944,8 @@ class _BatchSweep:
                 "direction='auto' requires an order-insensitive sweep "
                 "(no sigma_mode, no track_edges)"
             )
+        if per_slot and (not HAS_NUMPY or direction != TOP_DOWN):
+            raise ValueError("per_slot sweeps need numpy and direction='top-down'")
         self.csr = csr
         self.batch = len(roots)
         self.n = csr.n
@@ -939,9 +958,14 @@ class _BatchSweep:
             else [slot * n + root for slot, root in enumerate(roots)]
         )
         if HAS_NUMPY:
-            self.dist_store, self.dist = _shared_state(self.size, "q")
-            self.dist.fill(-1)
-            self.scratch = _np.empty(self.size, dtype=_np.int64)
+            # Per-slot (stacked bidirectional) sweeps hold 2 * rows * n ids;
+            # int32 labels and ranks keep that state small.
+            self.dist_store, self.dist = _shared_state(
+                self.size, "i" if per_slot else "q", -1
+            )
+            self.scratch = _np.empty(
+                self.size, dtype=_np.int32 if per_slot else _np.int64
+            )
         else:
             self.dist_store = [-1] * self.size
             self.dist = self.dist_store
@@ -981,6 +1005,16 @@ class _BatchSweep:
         # per-level scans (the frontier cost is computed by every expansion
         # anyway).
         self._explored_cost = 0
+        if per_slot:
+            self.degrees = csr.indptr[1:] - csr.indptr[:-1]
+            self.frontier = self.levels[0]
+            self.scratch[self.frontier] = 0  # each root is alone in its level
+            self.slot_depth = _np.zeros(self.batch, dtype=_np.int64)
+            self.slot_count = _np.ones(self.batch, dtype=_np.int64)
+            self.slot_cost = self.degrees[self.frontier % n]
+        else:
+            self.slot_depth = self.slot_count = self.slot_cost = None
+            self.degrees = None
 
     # ------------------------------------------------------------------
     @property
@@ -1006,7 +1040,7 @@ class _BatchSweep:
         nodes = frontier if self.batch == 1 else frontier % self.n
         return int((indptr[nodes + 1] - indptr[nodes]).sum())
 
-    def expand(self, frontier_cost: Optional[int] = None) -> int:
+    def expand(self, frontier_cost: Optional[int] = None, active=None) -> int:
         """Expand one complete BFS level; return the number of scanned entries.
 
         ``frontier_cost`` lets a caller that already computed the frontier
@@ -1015,8 +1049,25 @@ class _BatchSweep:
         when the sweep is exhausted — so ``levels``/``level_edges`` stay
         aligned with ``depth``; drivers that want no trailing empty level
         call :meth:`trim` once the loop ends.
+
+        ``active`` (``per_slot`` sweeps only) is a boolean mask over the
+        slots: only those slots' frontiers expand, each to its own next
+        depth, while the other slots keep their frontier; ``depth`` then
+        counts expansions.
         """
-        if frontier_cost is None:
+        kept = slot_next = None
+        if (active is None) != (self.slot_depth is None):
+            raise ValueError("per_slot sweeps expand through an active slot mask")
+        if active is not None:
+            frontier = self.frontier
+            expanding = active[frontier // self.n]
+            kept = frontier[~expanding]
+            self.frontier = frontier[expanding]
+            slot_next = self.slot_depth + 1
+            previous_max_sigma = self.frontier_max_sigma
+            if frontier_cost is None:
+                frontier_cost = int(self.slot_cost[active].sum())
+        elif frontier_cost is None:
             frontier_cost = self.frontier_cost()
         # Shortest-path counts grow multiplicatively per level (binomially on
         # grids); leave the int64 buffer for exact Python ints before the
@@ -1036,14 +1087,38 @@ class _BatchSweep:
         ):
             scanned = self._expand_bottom_up()
         elif HAS_NUMPY and frontier_cost >= _SEQUENTIAL_EDGE_THRESHOLD:
-            scanned = self._expand_vectorised()
+            scanned = self._expand_vectorised(frontier_cost, slot_next)
             self._unvisited = None
         else:
-            scanned = self._expand_sequential()
+            scanned = self._expand_sequential(slot_next)
             self._unvisited = None
         self._explored_cost += frontier_cost
         self.depth += 1
+        if active is not None:
+            self._advance_slots(active, kept)
+            # The kept frontiers were bounded by the previous maximum.
+            self.frontier_max_sigma = max(
+                self.frontier_max_sigma, previous_max_sigma
+            )
         return scanned
+
+    def _advance_slots(self, active, kept) -> None:
+        """Per-slot bookkeeping after a masked expansion."""
+        fresh = self.levels[-1]
+        del self.levels[1:-1]
+        slots, nodes = _np.divmod(fresh, self.n)
+        _np.copyto(
+            self.slot_count, _np.bincount(slots, minlength=self.batch),
+            where=active,
+        )
+        # Degree sums stay far below 2**53, so the float bins are exact.
+        costs = _np.bincount(slots, weights=self.degrees[nodes], minlength=self.batch)
+        _np.copyto(self.slot_cost, costs, where=active, casting="unsafe")
+        self.slot_depth += active
+        self.scratch[fresh] = _np.arange(fresh.size)
+        # Kept slots stay in front; every slot's nodes remain contiguous and
+        # in its own discovery order.
+        self.frontier = _np.concatenate((kept, fresh)) if kept.size else fresh
 
     def trim(self) -> None:
         """Drop a trailing empty level recorded by the final expansion."""
@@ -1053,8 +1128,11 @@ class _BatchSweep:
                 self.level_edges.pop()
 
     # ------------------------------------------------------------------
-    def _expand_sequential(self) -> int:
-        """Expand via a Python loop over cached adjacency lists."""
+    def _expand_sequential(self, slot_next=None) -> int:
+        """Expand via a Python loop over cached adjacency lists.
+
+        ``slot_next`` (masked expansions) holds each slot's next depth.
+        """
         indptr, indices = self.csr.adjacency_lists()
         frontier = self.frontier
         if not isinstance(frontier, list):
@@ -1062,6 +1140,8 @@ class _BatchSweep:
         n = self.n
         single = self.batch == 1
         next_depth = self.depth + 1
+        if slot_next is not None:
+            slot_next = slot_next.tolist()
         dist = self.dist_store
         sigma = self.sigma
         track_edges = self.track_edges
@@ -1073,6 +1153,8 @@ class _BatchSweep:
             for flat in frontier:
                 node = flat if single else flat % n
                 base = flat - node
+                if slot_next is not None:
+                    next_depth = slot_next[flat // n]
                 start = indptr[node]
                 stop = indptr[node + 1]
                 scanned += stop - start
@@ -1085,6 +1167,8 @@ class _BatchSweep:
             for flat in frontier:
                 node = flat if single else flat % n
                 base = flat - node
+                if slot_next is not None:
+                    next_depth = slot_next[flat // n]
                 sigma_flat = sigma[flat]
                 for position in range(indptr[node], indptr[node + 1]):
                     neighbor = base + indices[position]
@@ -1117,16 +1201,23 @@ class _BatchSweep:
         self.frontier = fresh
         return scanned
 
-    def _expand_vectorised(self) -> int:
-        """Expand via numpy gather/scatter over the whole frontier at once."""
+    def _expand_vectorised(self, frontier_cost: int, slot_next=None) -> int:
+        """Expand via numpy gather/scatter over the whole frontier at once.
+
+        ``slot_next`` (masked expansions) holds each slot's next depth.
+        """
         indptr, indices = self.csr.indptr, self.csr.indices
         frontier = self.frontier
         if isinstance(frontier, list):
             frontier = _np.asarray(frontier, dtype=_np.int64)
         nodes = frontier if self.batch == 1 else frontier % self.n
         starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        total = int(counts.sum())
+        if self.degrees is None:
+            counts = indptr[nodes + 1] - starts
+            total = int(counts.sum())
+        else:
+            counts = self.degrees[nodes]
+            total = frontier_cost
         empty = _np.empty(0, dtype=_np.int64)
         if total == 0:
             self.levels.append(empty)
@@ -1152,7 +1243,7 @@ class _BatchSweep:
         unseen = dist[nbrs] < 0
         edge_v = nbrs[unseen]
         fresh = _np_first_occurrence(edge_v, self.scratch)
-        dist[fresh] = next_depth
+        dist[fresh] = next_depth if slot_next is None else slot_next[fresh // self.n]
         if self.sigma is not None:
             edge_u = srcs[unseen]
             if self.sigma_view is not None:

@@ -127,6 +127,11 @@ class _BCProblem:
     def sample_losses(self, rng: SeedLike = None) -> Mapping[int, float]:
         return self._generator.sample_losses(rng)
 
+    def sample_losses_batch(self, rng: SeedLike, draws: int):
+        """One chunk of draws in Gen_bc's "pairs, then paths, per round"
+        order (what the adaptive sampler calls per chunk)."""
+        return self._generator.sample_losses_batch(rng, draws)
+
     def collect_sample_stats(self):
         """Detach this copy's sampling counters (worker side of the
         stats round-trip the adaptive sampler runs per chunk)."""

@@ -13,15 +13,23 @@ Algorithm 2 of the paper — multistage sampling followed by rejection:
    target middle node).
 
 The accepted paths are distributed exactly as ``D-tilde_c^(A)`` (Lemma 20).
+
+:meth:`GenBC.sample_paths` draws a whole chunk in rounds: it draws every
+pending pair first, searches them together (stacked per block, see
+:func:`repro.graphs.bidirectional.bidirectional_shortest_paths_batch`),
+samples the paths in row order, and redraws only the rejected count in the
+next round.  This "pairs, then paths, per round" order fixes the RNG
+consumption for any backend, worker count or stacking layout; a single
+draw is the classic draw-search-sample-retry loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import SamplingError
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs.bidirectional import bidirectional_shortest_paths_batch
 from repro.saphyra_bc.isp import PersonalizedISP
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -96,51 +104,100 @@ class GenBC:
     # ------------------------------------------------------------------
     def sample_path(self, rng: SeedLike = None) -> List[Node]:
         """Draw one shortest path from ``D-tilde_c^(A)``."""
+        return self.sample_paths(rng, 1)[0]
+
+    def sample_paths(self, rng: SeedLike, count: int) -> List[List[Node]]:
+        """Draw ``count`` shortest paths from ``D-tilde_c^(A)``.
+
+        Each round draws all pending pairs, searches them, then samples and
+        tests their paths in row order; rejected rows are redrawn in the
+        next round.  Accepted paths are returned round by round, in row
+        order.
+
+        Raises
+        ------
+        SamplingError
+            If some draw is rejected more than ``max_rejections`` times in
+            a row.
+        """
         rng = ensure_rng(rng)
-        rejections = 0
-        while True:
-            block_index, source, target = self.space.sample_pair(rng)
-            self.stats.pairs_drawn += 1
-            block_graph = self.space.bct.block_subgraph(block_index)
-            result = bidirectional_shortest_paths(
-                block_graph, source, target, backend=self.backend
-            )
-            self.stats.visited_edges += result.visited_edges
-            if not result.connected:  # pragma: no cover - blocks are connected
-                raise SamplingError(
-                    f"nodes {source!r} and {target!r} are disconnected inside "
-                    f"block {block_index}; the decomposition is inconsistent"
+        stats = self.stats
+        accepted: List[List[Node]] = []
+        pending = count
+        rounds = 0
+        while pending:
+            pairs = [self.space.sample_pair(rng) for _ in range(pending)]
+            stats.pairs_drawn += pending
+            pending = 0
+            for path in self._search_and_sample(pairs, rng):
+                if self._in_exact_subspace(path):
+                    pending += 1
+                    stats.rejections += 1
+                    continue
+                stats.samples_returned += 1
+                length = len(path) - 1
+                stats.path_length_histogram[length] = (
+                    stats.path_length_histogram.get(length, 0) + 1
                 )
-            path = result.sample_path(rng)
-            if self._in_exact_subspace(path):
-                rejections += 1
-                self.stats.rejections += 1
-                if rejections > self.max_rejections:
-                    raise SamplingError(
-                        "rejection sampling exceeded "
-                        f"{self.max_rejections} consecutive rejections; "
-                        "the approximate subspace is (nearly) empty"
-                    )
-                continue
-            self.stats.samples_returned += 1
-            length = len(path) - 1
-            self.stats.path_length_histogram[length] = (
-                self.stats.path_length_histogram.get(length, 0) + 1
+                accepted.append(path)
+            rounds += 1
+            if pending and rounds > self.max_rejections:
+                raise SamplingError(
+                    "rejection sampling exceeded "
+                    f"{self.max_rejections} consecutive rejections; "
+                    "the approximate subspace is (nearly) empty"
+                )
+        return accepted
+
+    def _search_and_sample(self, pairs, rng) -> Iterator[List[Node]]:
+        """Search ``(block, source, target)`` rows, block by block, and
+        yield one sampled path per row in row order."""
+        rows_by_block: Dict[int, List[tuple]] = {}
+        for block_index, source, target in pairs:
+            rows_by_block.setdefault(block_index, []).append((source, target))
+        searches = {
+            block_index: bidirectional_shortest_paths_batch(
+                self.space.bct.block_subgraph(block_index), block_pairs,
+                backend=self.backend,
             )
-            return path
+            for block_index, block_pairs in rows_by_block.items()
+        }
+        for block_index, _, _ in pairs:
+            yield self._sample_result(next(searches[block_index]), block_index, rng)
+
+    def _sample_result(self, result, block_index: int, rng) -> List[Node]:
+        # A separate frame, so no finished search outlives its path while
+        # the next sub-batch runs.
+        self.stats.visited_edges += result.visited_edges
+        if not result.connected:  # pragma: no cover - blocks are connected
+            raise SamplingError(
+                f"nodes {result.source!r} and {result.target!r} are "
+                f"disconnected inside block {block_index}; the decomposition "
+                "is inconsistent"
+            )
+        return result.sample_path(rng)
 
     def sample_losses(self, rng: SeedLike = None) -> Dict[int, float]:
         """Draw one path and return the sparse losses of the target hypotheses.
 
         The loss of ``h_v`` is 1 iff ``v`` is an inner node of the path.
         """
-        path = self.sample_path(rng)
-        losses: Dict[int, float] = {}
-        for node in path[1:-1]:
-            position = self._target_index.get(node)
-            if position is not None:
-                losses[position] = 1.0
-        return losses
+        return self.sample_losses_batch(rng, 1)[0]
+
+    def sample_losses_batch(
+        self, rng: SeedLike, draws: int
+    ) -> List[Dict[int, float]]:
+        """The sparse losses of ``draws`` paths from :meth:`sample_paths`."""
+        target_index = self._target_index
+        batch = []
+        for path in self.sample_paths(rng, draws):
+            losses: Dict[int, float] = {}
+            for node in path[1:-1]:
+                position = target_index.get(node)
+                if position is not None:
+                    losses[position] = 1.0
+            batch.append(losses)
+        return batch
 
     # ------------------------------------------------------------------
     def _in_exact_subspace(self, path: List[Node]) -> bool:

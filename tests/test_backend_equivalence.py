@@ -22,7 +22,12 @@ from repro.centrality.brandes import (
 )
 from repro.centrality.closeness import closeness_centrality
 from repro.datasets import random_subset
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs import bidirectional
+from repro.graphs import csr as csr_module
+from repro.graphs.bidirectional import (
+    bidirectional_shortest_paths,
+    bidirectional_shortest_paths_batch,
+)
 from repro.graphs.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -34,6 +39,8 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, shortest_path_dag
 from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_bc.gen_bc import GenBC, GenBCStatistics
+from repro.saphyra_bc.isp import PersonalizedISP
 from repro.saphyra_cc.algorithm import SaPHyRaCC
 from repro.saphyra_cc.problem import ClosenessProblem
 
@@ -270,6 +277,74 @@ class TestBigSigmaExactness:
             checked += 1
         assert checked > 0  # at least one long pair exercised the guard
 
+    @pytest.mark.parametrize("backend", ["dict", "csr", None])
+    def test_batched_long_pairs(self, overflow_grid, monkeypatch, backend):
+        """Diameter-scale rows (``sigma_st`` far beyond ``2**63``) stacked
+        with short ones count and sample exactly like the per-pair search."""
+        grid = overflow_grid
+        # Room for all eight rows in one stacked batch.
+        monkeypatch.setattr(
+            bidirectional, "_STACKED_SLOTS", 16 * grid.number_of_nodes()
+        )
+        nodes = list(grid.nodes())
+        first = nodes[0]
+        far = max(bfs_distances(grid, first).items(), key=lambda item: item[1])[0]
+        farther = max(bfs_distances(grid, far).items(), key=lambda item: item[1])[0]
+        rng = random.Random(4)
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(6)]
+        pairs[1:1] = [(far, farther), (first, far)]
+        references = self._check_batch(grid, pairs, backend)
+        assert max(r.num_shortest_paths for r in references) > 2**63  # bites
+
+    @pytest.mark.parametrize("backend", ["dict", "csr", None])
+    def test_stacked_batch_crosses_overflow_boundary(self, backend):
+        """Both sides of a long row through layers of width 4 multiply their
+        counts by 4 per level, so the stacked kernel trips the int64 ->
+        Python-int sigma guard partway through a batch whose short rows are
+        long done; every row still matches the per-pair search."""
+        width, depth = 4, 70
+        layers = [["s"]] + [
+            [(level, slot) for slot in range(width)] for level in range(depth)
+        ] + [["t"]]
+        graph = Graph.from_edges(
+            (u, v) for upper, lower in zip(layers, layers[1:])
+            for u in upper for v in lower
+        )
+        rng = random.Random(6)
+        pairs = [("s", "t")] + [
+            ((level, rng.randrange(width)), (level + 2, rng.randrange(width)))
+            for level in range(0, depth - 2, 9)
+        ] + [("t", (1, 0))]
+        references = self._check_batch(graph, pairs, backend)
+        assert references[0].num_shortest_paths == width ** depth
+        if csr_module.HAS_NUMPY and backend != "dict":
+            # Rows 1.. finish after two levels; row 0 made the kernel leave
+            # int64 for exact Python ints many levels later.
+            assert references[1].distance == 2
+            stacked = list(
+                bidirectional_shortest_paths_batch(graph, pairs, backend=backend)
+            )
+            assert stacked[0]._forward.sweep.sigma_view is None
+
+    @staticmethod
+    def _check_batch(graph, pairs, backend):
+        references = [
+            bidirectional_shortest_paths(graph, s, t, backend="dict") for s, t in pairs
+        ]
+        candidates = bidirectional_shortest_paths_batch(graph, pairs, backend=backend)
+        for reference, candidate in zip(references, candidates):
+            assert candidate.distance == reference.distance
+            assert candidate.num_shortest_paths == reference.num_shortest_paths
+            assert list(candidate.cut_nodes.items()) == list(
+                reference.cut_nodes.items()
+            )
+            assert candidate.visited_edges == reference.visited_edges
+            for draw in range(2):
+                assert candidate.sample_path(random.Random(draw)) == (
+                    reference.sample_path(random.Random(draw))
+                )
+        return references
+
 
 class TestBatchedSweepEquivalence:
     """The batched multi-source sweep is bit-identical to the per-source
@@ -436,6 +511,128 @@ class TestWorkerPoolEquivalence:
         ]
         assert cc_runs[0].closeness == cc_runs[1].closeness
         assert cc_runs[0].ranking == cc_runs[1].ranking
+
+
+def _replay_gen_bc(space, targets, rng, draws):
+    """Per-row reference for ``GenBC.sample_paths``: every round draws all
+    pending pairs, searches them one at a time with the dict backend, then
+    samples and tests the paths in row order; rejected rows are redrawn in
+    the next round."""
+    stats = GenBCStatistics()
+    target_set = set(targets)
+    accepted = []
+    pending = draws
+    while pending:
+        pairs = [space.sample_pair(rng) for _ in range(pending)]
+        stats.pairs_drawn += pending
+        results = [
+            bidirectional_shortest_paths(
+                space.bct.block_subgraph(block), source, target, backend="dict"
+            )
+            for block, source, target in pairs
+        ]
+        pending = 0
+        for result in results:
+            stats.visited_edges += result.visited_edges
+            path = result.sample_path(rng)
+            if len(path) == 3 and path[1] in target_set:
+                pending += 1
+                stats.rejections += 1
+                continue
+            stats.samples_returned += 1
+            length = len(path) - 1
+            stats.path_length_histogram[length] = (
+                stats.path_length_histogram.get(length, 0) + 1
+            )
+            accepted.append(path)
+    return accepted, stats
+
+
+class TestGenBCBatchLayout:
+    """Gen_bc draws each chunk as "pairs, then paths, per round".  That
+    order is fixed, so the sampled paths, the Gen_bc counters and the
+    SaPHyRa_bc rankings are identical for every backend, worker count, DAG
+    cache setting and stacked sub-batch layout — and equal a plain per-row
+    replay with the dict search."""
+
+    @pytest.fixture(scope="class", params=["road", "social"])
+    def case(self, request):
+        if request.param == "road":
+            graph = grid_road_graph(16, 16, seed=3)[0]
+            targets = random_subset(graph, 20, 2)
+        else:
+            # High-degree targets sit in the middle of many length-2 paths,
+            # so rejection rounds actually happen.
+            graph = barabasi_albert_graph(300, 3, seed=6)
+            targets = sorted(graph.nodes(), key=graph.degree, reverse=True)[:12]
+        return request.param, graph, targets
+
+    @staticmethod
+    def _cap(monkeypatch, graph, rows):
+        if rows is not None:
+            monkeypatch.setattr(
+                bidirectional, "_STACKED_SLOTS", 2 * rows * graph.number_of_nodes()
+            )
+
+    @pytest.mark.parametrize(
+        "backend, rows",
+        [("dict", None), ("csr", None), (None, None),
+         ("csr", 1), ("csr", 3), (None, 1), (None, 3)],
+    )
+    def test_gen_bc_matches_per_row_replay(self, case, monkeypatch, backend, rows):
+        label, graph, targets = case
+        self._cap(monkeypatch, graph, rows)
+        space = PersonalizedISP(graph, targets=targets)
+        generator = GenBC(space, targets, backend=backend)
+        paths = generator.sample_paths(random.Random(11), 64)
+        expected, stats = _replay_gen_bc(space, targets, random.Random(11), 64)
+        assert paths == expected
+        assert generator.stats == stats
+        if label == "social":
+            assert stats.rejections > 0  # a second round was drawn
+        index = {node: position for position, node in enumerate(targets)}
+        expected, _ = _replay_gen_bc(space, targets, random.Random(12), 40)
+        assert generator.sample_losses_batch(random.Random(12), 40) == [
+            {index[node]: 1.0 for node in path[1:-1] if node in index}
+            for path in expected
+        ]
+
+    def test_rank_identical_across_layouts(self, case, monkeypatch):
+        from repro.engine import set_dag_cache_enabled
+
+        label, graph, targets = case
+
+        def run(backend=None, workers=0):
+            result = SaPHyRaBC(
+                0.1, 0.1, seed=7, max_samples_cap=300,
+                backend=backend, workers=workers,
+            ).rank(graph, targets)
+            return (
+                result.scores, result.ranking, result.num_samples,
+                result.num_pilot_samples, result.rejections,
+            )
+
+        reference = run(backend="dict")
+        runs = {
+            "csr": run(backend="csr"),
+            "auto": run(),
+            "workers=1": run(workers=1),
+            "workers=2": run(workers=2),
+            "csr workers=2": run(backend="csr", workers=2),
+        }
+        try:
+            for enabled in (True, False):
+                set_dag_cache_enabled(enabled)
+                runs[f"cache={enabled}"] = run()
+        finally:
+            set_dag_cache_enabled(None)
+        for rows in (1, 3):
+            self._cap(monkeypatch, graph, rows)
+            runs[f"{rows} rows"] = run()
+        for label, candidate in runs.items():
+            assert candidate == reference, label
+        if label == "social":
+            assert reference[4] > 0  # rejection rounds were exercised
 
 
 class TestDAGCacheEquivalence:

@@ -103,6 +103,49 @@ class TestEstimate:
             assert result.deviations[0] <= 0.1
 
 
+class _ChunkProblem:
+    """A payload drawing whole chunks through ``sample_losses_batch``."""
+
+    def __init__(self, means):
+        self.means = means
+        self.chunks = []
+
+    def sample_losses(self, rng):  # pragma: no cover - must not be called
+        raise AssertionError("a chunk-level sampler is drawn chunk by chunk")
+
+    def sample_losses_batch(self, rng, draws):
+        self.chunks.append(draws)
+        sample = bernoulli_sampler(self.means, None)
+        return [sample(rng) for _ in range(draws)]
+
+
+class TestChunkLevelSampler:
+    def test_batch_sampler_draws_whole_chunks(self):
+        means = [0.1, 0.4]
+        problem = _ChunkProblem(means)
+        sampler = AdaptiveSampler(0.1, 0.1, vc_dimension=2)
+        result = sampler.estimate(
+            problem.sample_losses, len(means), rng=5, workers=0, payload=problem
+        )
+        assert sum(problem.chunks) == result.num_samples + result.num_pilot_samples
+        assert max(problem.chunks) <= 64
+
+    def test_batch_of_per_draw_samples_equals_per_draw_sampler(self):
+        # Drawing a chunk in one call in per-draw order reproduces the
+        # per-draw sampler exactly: the hook changes who loops, not the
+        # stream.
+        means = [0.2, 0.5, 0.7]
+        per_draw = AdaptiveSampler(0.1, 0.1, vc_dimension=2).estimate(
+            bernoulli_sampler(means, None), len(means), rng=9
+        )
+        problem = _ChunkProblem(means)
+        batched = AdaptiveSampler(0.1, 0.1, vc_dimension=2).estimate(
+            problem.sample_losses, len(means), rng=9, payload=problem
+        )
+        assert batched.estimates == per_draw.estimates
+        assert batched.num_samples == per_draw.num_samples
+
+
 class TestGuarantee:
     def test_epsilon_delta_guarantee_over_repetitions(self):
         """Repeated runs should miss the (epsilon) target far less often than

@@ -20,7 +20,7 @@ from repro.datasets.registry import Dataset, load
 from repro.datasets.subsets import random_subset
 from repro.datasets.ground_truth import GroundTruthCache
 from repro.experiments.config import ExperimentConfig
-from repro.graphs.block_cut_tree import BlockCutTree, build_block_cut_tree
+from repro.graphs.block_cut_tree import BlockCutTree, memoized_block_cut_tree
 from repro.knobs import apply_config
 from repro.metrics.rank_correlation import kendall_tau, spearman_rank_correlation
 from repro.metrics.zeros import classify_zeros
@@ -94,7 +94,6 @@ class ExperimentRunner:
         self.config = config if config is not None else ExperimentConfig.default()
         self._knobs_applied = False
         self._datasets: Dict[str, Dataset] = {}
-        self._block_cut_trees: Dict[str, BlockCutTree] = {}
         self._ground_truth_cache = GroundTruthCache()
         self._whole_network_cache: Dict[Tuple[str, str, float], BaselineResult] = {}
         self._full_saphyra_cache: Dict[Tuple[str, float], "SaPHyRaAsBaseline"] = {}
@@ -116,10 +115,8 @@ class ExperimentRunner:
         return self._datasets[name]
 
     def block_cut_tree(self, name: str) -> BlockCutTree:
-        """The block-cut tree of a dataset's graph (built once)."""
-        if name not in self._block_cut_trees:
-            self._block_cut_trees[name] = build_block_cut_tree(self.dataset(name).graph)
-        return self._block_cut_trees[name]
+        """The block-cut tree of a dataset's graph (the graph's memoised one)."""
+        return memoized_block_cut_tree(self.dataset(name).graph)
 
     def ground_truth(self, name: str) -> Dict[Node, float]:
         """Exact betweenness of every node of the dataset (computed once)."""
@@ -181,7 +178,6 @@ class ExperimentRunner:
         seed: int,
     ) -> "SaPHyRaAsBaseline":
         graph = self.dataset(name).graph
-        bct = self.block_cut_tree(name)
         algorithm = SaPHyRaBC(
             epsilon,
             self.config.delta,
@@ -189,7 +185,7 @@ class ExperimentRunner:
             max_samples_cap=self.config.max_samples_cap,
             workers=self.config.workers,
         )
-        result = algorithm.rank(graph, targets, block_cut_tree=bct)
+        result = algorithm.rank(graph, targets)
         return SaPHyRaAsBaseline(result)
 
     def subset_estimate(

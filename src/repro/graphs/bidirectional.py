@@ -346,6 +346,21 @@ def bidirectional_shortest_paths_batch(
     return (search(graph, source, target) for source, target in pairs)
 
 
+def searches_run_on_csr(n: int, m: int, backend: Optional[str] = None) -> bool:
+    """Whether every search of an ``n``-node, ``m``-edge graph, per pair or
+    stacked, runs on the CSR kernels (numpy present, and the ``csr``
+    backend or ``auto`` on a graph of at least
+    ``AUTO_CSR_BIDIRECTIONAL_THRESHOLD`` nodes + edges).  A CSR snapshot of
+    such a graph can then be searched in its place with identical results.
+    """
+    if not _csr.HAS_NUMPY:
+        return False
+    resolved = _csr.resolve_backend(backend)
+    return resolved == _csr.CSR_BACKEND or (
+        resolved == _csr.AUTO_BACKEND and n + m >= AUTO_CSR_BIDIRECTIONAL_THRESHOLD
+    )
+
+
 def _runs_stacked(graph: Graph, backend: Optional[str], rows: int) -> bool:
     """Whether a batch of ``rows`` pairs takes the stacked kernel."""
     if not _csr.HAS_NUMPY:

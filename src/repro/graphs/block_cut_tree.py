@@ -16,20 +16,61 @@ intra-component shortest path (ISP) sample space:
 All of these assume a connected graph, matching the paper's benchmark
 networks; :class:`BlockCutTree` raises :class:`~repro.errors.GraphError`
 otherwise.
+
+:func:`memoized_block_cut_tree` keeps one tree per graph version, so
+repeated ranking queries on an unchanged graph pay the ``O(n + m)``
+preprocessing once.  A memoised tree holds its graph weakly and keeps only
+arrays (the per-slot block data of :meth:`BlockCutTree.edge_blocks` and the
+block CSR snapshots of :meth:`BlockCutTree.block_csr`), never dict block
+subgraphs, which live only while someone uses them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import GraphError
+from repro.graphs import csr as _csr
 from repro.graphs.biconnected import BiconnectedDecomposition, biconnected_components
 from repro.graphs.components import is_connected
 from repro.graphs.graph import Graph
 
 Node = Hashable
 TreeNode = Tuple[str, object]  # ("block", index) or ("cut", node)
+
+
+@dataclass(frozen=True)
+class EdgeBlocks:
+    """Per-adjacency-slot block data, aligned with ``as_csr(graph)``.
+
+    For the slot ``j`` of edge ``u -> w`` (``w = indices[j]``):
+
+    * ``block[j]`` — the block containing the edge;
+    * ``tail_reach[j]`` — ``r_block(u)``;
+    * ``head_reach[j]`` — ``r_block(w)``.
+
+    Two edges ``(s, m)`` and ``(m, e)`` lie in one block exactly when ``s``
+    and ``e`` share a block, so a two-hop path finds its pair's common block
+    and out-reach weight with three array reads (``Exact_bc``).  int32
+    arrays, numpy only.
+    """
+
+    block: object
+    tail_reach: object
+    head_reach: object
+
+
+#: Blocks with fewer nodes are traversed through their subgraph, never a
+#: :meth:`BlockCutTree.block_csr`: per-source dict BFS beats the array
+#: kernels there, and a tree keeps no snapshot of its many tiny blocks.
+BLOCK_CSR_MIN_NODES = 32
+
+
+def _strong_ref(graph: Graph) -> Callable[[], Graph]:
+    """A strong reference with the call interface of ``weakref.ref``."""
+    return lambda: graph
 
 
 @dataclass
@@ -41,7 +82,12 @@ class BlockCutTree:
     Attributes
     ----------
     graph:
-        The underlying connected graph.
+        The underlying connected graph.  A tree from
+        :func:`memoized_block_cut_tree` holds it weakly (reading it after
+        the graph is gone raises :class:`~repro.errors.GraphError`); one
+        from :func:`build_block_cut_tree` holds it strongly.
+    version:
+        ``graph._version`` when the tree was built.
     decomposition:
         The biconnected decomposition (blocks + cutpoints).
     tree_adjacency:
@@ -61,7 +107,6 @@ class BlockCutTree:
         Normalizer ``gamma`` of the ISP distribution (Eq. 19).
     """
 
-    graph: Graph
     decomposition: BiconnectedDecomposition
     tree_adjacency: Dict[TreeNode, List[TreeNode]]
     out_reach: List[Dict[Node, int]]
@@ -69,7 +114,36 @@ class BlockCutTree:
     block_pair_weight: List[int]
     bc_a: Dict[Node, float]
     gamma: float
-    _block_subgraphs: Dict[int, Graph] = field(default_factory=dict, repr=False)
+    version: int
+    _graph_ref: Callable[[], Optional[Graph]] = field(repr=False)
+    _block_subgraphs: "weakref.WeakValueDictionary[int, Graph]" = field(
+        default_factory=weakref.WeakValueDictionary, repr=False
+    )
+    _block_csrs: Dict[int, "_csr.CSRGraph"] = field(default_factory=dict, repr=False)
+    _edge_blocks: Optional[EdgeBlocks] = field(default=None, repr=False)
+
+    @property
+    def graph(self) -> Graph:
+        """The underlying graph."""
+        graph = self._graph_ref()
+        if graph is None:
+            raise GraphError("the graph of this block-cut tree no longer exists")
+        return graph
+
+    def __getstate__(self):
+        # Pickles (worker payloads) carry the graph itself and none of the
+        # derived caches, which the receiving side rebuilds on demand.
+        state = dict(self.__dict__)
+        state["_graph_ref"] = self.graph
+        state["_block_subgraphs"] = None
+        state["_block_csrs"] = {}
+        state["_edge_blocks"] = None
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._graph_ref = _strong_ref(state["_graph_ref"])
+        self._block_subgraphs = weakref.WeakValueDictionary()
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -103,16 +177,50 @@ class BlockCutTree:
             ) from None
 
     def block_subgraph(self, index: int) -> Graph:
-        """Return (and cache) the induced subgraph of block ``index``.
+        """Return the induced subgraph of block ``index``.
 
         Because any edge joining two nodes of a block belongs to that block,
-        the induced subgraph equals the block itself.
+        the induced subgraph equals the block itself.  The tree caches it
+        only while someone else holds it, so a long-lived (memoised) tree
+        never pins dict-of-dict subgraphs.
         """
-        if index not in self._block_subgraphs:
-            self._block_subgraphs[index] = self.graph.subgraph(
-                self.decomposition.components[index]
-            )
-        return self._block_subgraphs[index]
+        subgraph = self._block_subgraphs.get(index)
+        if subgraph is None:
+            subgraph = self.graph.subgraph(self.decomposition.components[index])
+            self._block_subgraphs[index] = subgraph
+        return subgraph
+
+    def block_csr(self, index: int) -> "_csr.CSRGraph":
+        """Return (and cache) the CSR snapshot of block ``index``.
+
+        Byte-identical to ``CSRGraph.from_graph(self.block_subgraph(index))``
+        (same node and adjacency order), so every traversal of it matches
+        one of the subgraph.  Kept for the tree's lifetime: arrays, not a
+        dict graph.
+        """
+        snapshot = self._block_csrs.get(index)
+        if snapshot is None:
+            snapshot = _csr.CSRGraph.from_graph(self.block_subgraph(index))
+            self._block_csrs[index] = snapshot
+        return snapshot
+
+    def edge_blocks(self) -> EdgeBlocks:
+        """Return (and cache) the :class:`EdgeBlocks` of ``as_csr(graph)``.
+
+        Raises
+        ------
+        GraphError
+            If numpy is missing or the graph changed since the tree was
+            built (its slots no longer match the tree).
+        """
+        if self._edge_blocks is None:
+            graph = self.graph
+            if graph._version != self.version:
+                raise GraphError("the graph changed since its block-cut tree was built")
+            if not _csr.HAS_NUMPY:
+                raise GraphError("edge_blocks requires numpy")
+            self._edge_blocks = _build_edge_blocks(self, _csr.as_csr(graph))
+        return self._edge_blocks
 
     def pair_weight_total(self) -> int:
         """Return ``sum_i W_i = n(n-1) * gamma``."""
@@ -244,7 +352,6 @@ def build_block_cut_tree(
         bc_a[cutpoint] = (total * total - sum_sq) / (n * (n - 1))
 
     return BlockCutTree(
-        graph=graph,
         decomposition=decomposition,
         tree_adjacency=tree_adjacency,
         out_reach=out_reach,
@@ -252,4 +359,61 @@ def build_block_cut_tree(
         block_pair_weight=block_pair_weight,
         bc_a=bc_a,
         gamma=gamma,
+        version=graph._version,
+        _graph_ref=_strong_ref(graph),
     )
+
+
+def _build_edge_blocks(tree: BlockCutTree, snapshot: "_csr.CSRGraph") -> EdgeBlocks:
+    """Compute :class:`EdgeBlocks` for ``snapshot`` (the graph's CSR)."""
+    np = _csr._np
+    decomposition = tree.decomposition
+    index = snapshot.index
+    labels = snapshot.labels
+    home = np.zeros(snapshot.n, dtype=np.int32)  # a block of every node
+    for block_index, nodes in enumerate(decomposition.components):
+        for node in nodes:
+            home[index[node]] = block_index
+    is_cut = np.zeros(snapshot.n, dtype=bool)
+    for node in decomposition.cutpoints:
+        is_cut[index[node]] = True
+    indptr = np.asarray(snapshot.indptr, dtype=np.int64)
+    heads = np.asarray(snapshot.indices, dtype=np.int64)
+    tails = np.repeat(np.arange(snapshot.n, dtype=np.int64), np.diff(indptr))
+    # A non-cutpoint lies in one block only, which holds all its edges.
+    block = np.where(is_cut[tails], home[heads], home[tails])
+    for slot in np.flatnonzero(is_cut[tails] & is_cut[heads]).tolist():
+        shared = set(decomposition.components_of(labels[tails[slot]]))
+        block[slot] = next(
+            b for b in decomposition.components_of(labels[heads[slot]])
+            if b in shared
+        )
+    # Out-reach is 1 except at cutpoints.
+    reach = [np.ones(heads.size, dtype=np.int32) for _ in range(2)]
+    for ends, values in zip((tails, heads), reach):
+        for slot in np.flatnonzero(is_cut[ends]).tolist():
+            values[slot] = tree.out_reach[block[slot]][labels[ends[slot]]]
+    return EdgeBlocks(block=block, tail_reach=reach[0], head_reach=reach[1])
+
+
+#: ``graph -> tree`` for :func:`memoized_block_cut_tree`.  The trees hold
+#: their graph weakly, so an entry never keeps its key alive.
+_tree_memo: "weakref.WeakKeyDictionary[Graph, BlockCutTree]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def memoized_block_cut_tree(graph: Graph) -> BlockCutTree:
+    """Return the block-cut tree of ``graph``, built once per graph version.
+
+    The first call on a graph (or the first after it mutated, as
+    ``graph._version`` tells) runs :func:`build_block_cut_tree`; later calls
+    return the same tree object.  The memo is keyed weakly on the graph and
+    its trees hold the graph weakly, so it never keeps a graph alive.
+    """
+    tree = _tree_memo.get(graph)
+    if tree is None or tree.version != graph._version:
+        tree = build_block_cut_tree(graph)
+        tree._graph_ref = weakref.ref(graph)
+        _tree_memo[graph] = tree
+    return tree

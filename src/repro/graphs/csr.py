@@ -56,7 +56,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import knobs as _knobs
@@ -353,6 +353,10 @@ class CSRGraph:
     def has_node(self, label: Node) -> bool:
         """Whether ``label`` is part of the snapshot."""
         return label in self.index
+
+    def nodes(self) -> Iterator[Node]:
+        """Iterate over the node labels in index order (the graph's order)."""
+        return iter(self.labels)
 
     def degree(self, node_index: int) -> int:
         """Degree of the node at ``node_index``."""
@@ -1940,6 +1944,127 @@ def multi_source_sweep(
             for slot in range(len(roots)):
                 results.append(sweep.dist[slot * n : (slot + 1) * n].copy())
     return results
+
+
+# ----------------------------------------------------------------------
+# Two-hop gather (SaPHyRa_bc's Exact_bc)
+# ----------------------------------------------------------------------
+#: Walks gathered per :func:`two_hop_paths` chunk (about ten int64 arrays
+#: of this length are alive at once; a source with more walks than this
+#: forms a chunk of its own).
+_TWO_HOP_WALKS = 1 << 13
+#: Cap on ``chunk sources * n``: the size of the (source, endpoint) key
+#: scratch that groups a chunk's paths into pairs without sorting.
+_TWO_HOP_KEYS = 1 << 16
+
+
+class TwoHopChunk(NamedTuple):
+    """One chunk of :func:`two_hop_paths`: every two-hop walk ``(s, m, e)``
+    out of ``sources``, one entry per walk in every per-walk array.
+
+    Attributes
+    ----------
+    sources:
+        The chunk's source indices, in the order they were given.
+    owner:
+        Position in ``sources`` of each walk's source.
+    first_slot:
+        Adjacency slot (index into ``indices``) of the walk's edge
+        (source, middle).
+    second_slot:
+        Adjacency slot of the walk's edge (middle, endpoint).
+    pair:
+        For a shortest path (``e`` at distance 2 from ``s``): the index of
+        the first walk with the same (source, endpoint) pair.  ``-1`` for
+        the other walks (back to ``s``, or onto a neighbour of ``s``).
+    """
+
+    sources: object
+    owner: object
+    first_slot: object
+    second_slot: object
+    pair: object
+
+
+def _np_ranges(starts, lengths):
+    """Concatenation of ``arange(start, start + length)`` per element."""
+    offsets = _np.cumsum(lengths) - lengths
+    total = int(offsets[-1] + lengths[-1]) if lengths.size else 0
+    return _np.arange(total, dtype=_np.int64) - _np.repeat(offsets - starts, lengths)
+
+
+def two_hop_paths(csr: CSRGraph, sources: Sequence[int]) -> Iterator[TwoHopChunk]:
+    """The two-hop walks ``(s, m, e)`` out of every source, by chunk.
+
+    Walks come in adjacency order (sources as given, then each source's
+    neighbours ``m``, then each middle's neighbours ``e``), the order of a
+    nested neighbour loop.  Those that are shortest paths (``e`` at
+    distance exactly 2 from ``s``) carry the index of the first walk of
+    their (source, endpoint) pair, so ``bincount(pair + 1)[pair + 1]`` is
+    each path's ``sigma_se``; the others carry ``-1``.
+
+    Chunks hold consecutive sources, at most ``_TWO_HOP_WALKS`` walks (or
+    one source) and at most ``_TWO_HOP_KEYS // n`` sources, so transient
+    state is bounded whatever the number of sources.  Requires numpy.
+    """
+    if not HAS_NUMPY:
+        raise GraphError("two_hop_paths requires numpy")
+    n = csr.n
+    indptr = _np.asarray(csr.indptr, dtype=_np.int64)
+    indices = _np.asarray(csr.indices, dtype=_np.int64)
+    degree = indptr[1:] - indptr[:-1]
+    source_array = _np.asarray(sources, dtype=_np.int64).reshape(-1)
+    if source_array.size == 0:
+        return
+    if source_array.min() < 0 or source_array.max() >= n:
+        raise GraphError(f"source index out of range for a {n}-node snapshot")
+    # Walks per source, and chunk boundaries from both caps.
+    source_degree = degree[source_array]
+    middle_slots = _np_ranges(indptr[source_array], source_degree)
+    middle_walks = _np.concatenate(([0], _np.cumsum(degree[indices[middle_slots]])))
+    middle_offsets = _np.concatenate(([0], _np.cumsum(source_degree)))
+    source_walks = _np.diff(middle_walks[middle_offsets]).tolist()
+    max_sources = max(1, _TWO_HOP_KEYS // n)
+    starts = [0]
+    chunk_walks = 0
+    for position, count in enumerate(source_walks):
+        if position > starts[-1] and (
+            position - starts[-1] == max_sources
+            or chunk_walks + count > _TWO_HOP_WALKS
+        ):
+            starts.append(position)
+            chunk_walks = 0
+        chunk_walks += count
+    stops = starts[1:] + [source_array.size]
+    scratch = _np.empty(min(source_array.size, max_sources) * n, dtype=_np.int64)
+    for lo, hi in zip(starts, stops):
+        chunk_sources = source_array[lo:hi]
+        first = middle_slots[middle_offsets[lo]:middle_offsets[hi]]
+        middle_owner = _np.repeat(
+            _np.arange(hi - lo, dtype=_np.int64), source_degree[lo:hi]
+        )
+        middles = indices[first]
+        middle_degree = degree[middles]
+        second = _np_ranges(indptr[middles], middle_degree)
+        owner = _np.repeat(middle_owner, middle_degree)
+        first = _np.repeat(first, middle_degree)
+        if not second.size:
+            continue
+        # Group by (source, endpoint) key: writing positions back to front
+        # leaves each key's first walk in the scratch; keys of the source
+        # itself and of its neighbours are then overwritten with -1.
+        keys = owner * n + indices[second]
+        positions = _np.arange(second.size, dtype=_np.int64)
+        scratch[keys[::-1]] = positions[::-1]
+        scratch[middle_owner * n + middles] = -1
+        scratch[_np.arange(hi - lo, dtype=_np.int64) * n + chunk_sources] = -1
+        yield TwoHopChunk(
+            sources=chunk_sources,
+            owner=owner,
+            first_slot=first,
+            second_slot=second,
+            pair=scratch[keys],
+        )
 
 
 def distance_stats_from_row(dist):

@@ -5,6 +5,12 @@ graphs (tests, Table II on small scales).  The samplers only need an *upper
 bound* on the diameter: the paper (end of Section IV-C) uses the standard
 ``2 * ecc(s)`` bound — the diameter of a set is at most twice the maximum
 distance from any member — which one BFS per estimate provides.
+
+The exact functions take either a :class:`~repro.graphs.graph.Graph` or a
+:class:`~repro.graphs.csr.CSRGraph`.  On the CSR backend with numpy they
+run their BFS sweeps batched (:func:`~repro.graphs.csr.multi_source_sweep`),
+a few sources at a time; a maximum of distances does not depend on visit
+order, so the result equals the per-source loop's.
 """
 
 from __future__ import annotations
@@ -12,11 +18,44 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import GraphError
+from repro.graphs import csr as _csr
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.utils.rng import SeedLike, ensure_rng
 
 Node = Hashable
+
+#: Cap on ``sources * (n + 2m)`` per batched sweep: a fat level gathers
+#: every adjacency entry of every stacked source, so the transient state of
+#: one batch grows with its edges, not only its nodes.
+_SWEEP_STATE = 1 << 17
+
+
+def _sweeps_batched(graph) -> bool:
+    return _csr.HAS_NUMPY and _csr.effective_backend(graph) == _csr.CSR_BACKEND
+
+
+def _max_sweep_distance(
+    graph, sources: List[Node], columns: Optional[List[Node]]
+) -> int:
+    """Largest hop distance from ``sources`` to ``columns`` (all nodes when
+    ``None``), over batched sweeps of at most ``_SWEEP_STATE // (n + 2m)``
+    sources."""
+    snapshot = _csr.as_csr(graph)
+    index = snapshot.index
+    source_ids = [index[node] for node in sources]
+    column_ids = None if columns is None else [index[node] for node in columns]
+    batch = max(1, _SWEEP_STATE // max(1, snapshot.n + 2 * snapshot.m))
+    best = 0
+    for start in range(0, len(source_ids), batch):
+        chunk = source_ids[start : start + batch]
+        for row in _csr.multi_source_sweep(
+            snapshot, chunk, kind=_csr.SWEEP_DISTANCE, batch_size=len(chunk)
+        ):
+            far = int(row.max() if column_ids is None else row[column_ids].max())
+            if far > best:
+                best = far
+    return best
 
 
 def eccentricity(graph: Graph, source: Node) -> int:
@@ -31,6 +70,8 @@ def exact_diameter(graph: Graph) -> int:
     Only intended for small graphs; cost is ``O(n (n + m))``.
     Returns 0 for graphs with fewer than 2 nodes.
     """
+    if _sweeps_batched(graph):
+        return _max_sweep_distance(graph, list(graph.nodes()), None)
     best = 0
     for node in graph.nodes():
         ecc = eccentricity(graph, node)
@@ -105,6 +146,8 @@ def estimate_subset_diameter(
 def exact_subset_diameter(graph: Graph, subset: Iterable[Node]) -> int:
     """Exact ``max_{s,t in A} d(s, t)`` (small inputs only; BFS per member)."""
     members: List[Node] = [node for node in subset if graph.has_node(node)]
+    if members and _sweeps_batched(graph):
+        return _max_sweep_distance(graph, members, members)
     best = 0
     for source in members:
         distances = bfs_distances(graph, source)

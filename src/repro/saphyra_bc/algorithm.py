@@ -27,7 +27,7 @@ from repro.core.estimation import ExactEvaluation, SaPHyRaResult
 from repro.core.ranking import rank_scores
 from repro.core.saphyra import SaPHyRa
 from repro.errors import GraphError
-from repro.graphs.block_cut_tree import BlockCutTree, build_block_cut_tree
+from repro.graphs.block_cut_tree import BlockCutTree, memoized_block_cut_tree
 from repro.graphs.components import is_connected
 from repro.graphs.graph import Graph
 from repro.saphyra_bc.exact_bc import ExactSubspaceEvaluation, exact_two_hop_risks
@@ -222,9 +222,10 @@ class SaPHyRaBC:
             The nodes to rank; ``None`` ranks every node
             (the SaPHyRa_bc-full variant of the paper's experiments).
         block_cut_tree:
-            A pre-built block-cut tree, reused across runs on the same graph
-            (the experiment harness passes this to avoid repeating the
-            ``O(n + m)`` preprocessing for every epsilon value).
+            A pre-built block-cut tree to use instead of the graph's
+            memoised one (:func:`~repro.graphs.block_cut_tree.memoized_block_cut_tree`,
+            built once per graph version, so repeated queries on an
+            unchanged graph skip the ``O(n + m)`` preprocessing anyway).
         """
         self._validate_graph(graph)
         target_list = list(targets) if targets is not None else list(graph.nodes())
@@ -238,7 +239,7 @@ class SaPHyRaBC:
             bct = (
                 block_cut_tree
                 if block_cut_tree is not None
-                else build_block_cut_tree(graph)
+                else memoized_block_cut_tree(graph)
             )
             space = PersonalizedISP(
                 graph, target_list, block_cut_tree=bct, backend=self.backend

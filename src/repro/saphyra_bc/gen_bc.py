@@ -157,7 +157,7 @@ class GenBC:
             rows_by_block.setdefault(block_index, []).append((source, target))
         searches = {
             block_index: bidirectional_shortest_paths_batch(
-                self.space.bct.block_subgraph(block_index), block_pairs,
+                self.space.search_graph(block_index, self.backend), block_pairs,
                 backend=self.backend,
             )
             for block_index, block_pairs in rows_by_block.items()

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.block_cut_tree import BlockCutTree, build_block_cut_tree
+from repro.graphs.bidirectional import searches_run_on_csr
+from repro.graphs.block_cut_tree import (
+    BLOCK_CSR_MIN_NODES,
+    BlockCutTree,
+    memoized_block_cut_tree,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import shortest_path_dag
 from repro.utils.rng import SeedLike, ensure_rng
@@ -54,7 +59,8 @@ class PersonalizedISP:
         The target node set ``A``; ``None`` means the full node set (the
         SaPHyRa_bc-full variant).
     block_cut_tree:
-        Optionally a pre-built block-cut tree (to share between runs).
+        Optionally a pre-built block-cut tree; by default the graph's
+        memoised one (:func:`~repro.graphs.block_cut_tree.memoized_block_cut_tree`).
     backend:
         Traversal backend used by the samplers built on this space
         (``"dict"``, ``"csr"`` or ``None`` for the default).
@@ -79,7 +85,12 @@ class PersonalizedISP:
             raise GraphError("the ISP sample space needs at least 2 nodes")
         self.graph = graph
         self.backend = backend
-        self.bct = block_cut_tree if block_cut_tree is not None else build_block_cut_tree(graph)
+        self.bct = (
+            block_cut_tree
+            if block_cut_tree is not None
+            else memoized_block_cut_tree(graph)
+        )
+        self._block_subgraphs: Dict[int, Graph] = {}
         self.n = graph.number_of_nodes()
 
         if targets is None:
@@ -149,6 +160,33 @@ class PersonalizedISP:
     def bc_a(self, node: Node) -> float:
         """Cutpoint correction ``bc_a(node)`` (0 for non-cutpoints)."""
         return self.bct.bc_a.get(node, 0.0)
+
+    def block_subgraph(self, block_index: int) -> Graph:
+        """The induced subgraph of a block, held for this space's lifetime
+        (the tree itself keeps block subgraphs only while they are in use)."""
+        subgraph = self._block_subgraphs.get(block_index)
+        if subgraph is None:
+            subgraph = self.bct.block_subgraph(block_index)
+            self._block_subgraphs[block_index] = subgraph
+        return subgraph
+
+    def search_graph(self, block_index: int, backend: Optional[str] = None):
+        """The block as ``Gen_bc`` searches it on ``backend``.
+
+        When every search of the block runs on the CSR kernels anyway (see
+        :func:`~repro.graphs.bidirectional.searches_run_on_csr`), that is
+        the tree's CSR snapshot of the block: identical results, and no
+        dict subgraph built per query.  Otherwise the block subgraph.
+        """
+        size = len(self.bct.block_nodes(block_index))
+        # Build the snapshot only if even a complete block could qualify.
+        if size >= BLOCK_CSR_MIN_NODES and searches_run_on_csr(
+            size, size * (size - 1) // 2, backend
+        ):
+            snapshot = self.bct.block_csr(block_index)
+            if searches_run_on_csr(snapshot.n, snapshot.m, backend):
+                return snapshot
+        return self.block_subgraph(block_index)
 
     def pair_weight(self, block_index: int, source: Node, target: Node) -> float:
         """Return ``q_st * n(n-1) = r_i(s) r_i(t)`` for a same-block pair."""
@@ -239,7 +277,7 @@ class PersonalizedISP:
         if scale <= 0:
             return
         for table in self._tables:
-            block_graph = self.bct.block_subgraph(table.index)
+            block_graph = self.block_subgraph(table.index)
             reach = self.bct.out_reach[table.index]
             for source in table.nodes:
                 dag = shortest_path_dag(block_graph, source, backend=self.backend)

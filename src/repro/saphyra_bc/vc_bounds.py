@@ -15,6 +15,13 @@ of target nodes that can be inner nodes of one sampled path):
 
 All diameters here are hop counts; upper-bound estimates (``2 * ecc``) are
 used so the resulting VC values remain valid upper bounds.
+
+Blocks of at least ``BLOCK_CSR_MIN_NODES`` nodes are swept through their
+CSR snapshot (:meth:`~repro.graphs.block_cut_tree.BlockCutTree.block_csr`,
+kept with the tree) when numpy is available and the backend is not
+``dict``, and through the induced subgraph otherwise; both give the same
+bounds, including the random ``2 * ecc`` estimates, which consume the RNG
+identically.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence
 
-from repro.graphs.block_cut_tree import BlockCutTree
+from repro.graphs import csr as _csr
+from repro.graphs.block_cut_tree import BLOCK_CSR_MIN_NODES, BlockCutTree
 from repro.graphs.diameter import (
     estimate_diameter,
     estimate_subset_diameter,
@@ -45,11 +53,25 @@ def vc_from_hop_diameter(hop_diameter: int) -> int:
     return pi_max_vc_bound(max(0, hop_diameter - 1))
 
 
+def _block_graph(bct: BlockCutTree, block_index: int):
+    """The block as the diameter sweeps read it (see the module docstring)."""
+    if (
+        _csr.HAS_NUMPY
+        and _csr.resolve_backend(None) != _csr.DICT_BACKEND
+        and len(bct.block_nodes(block_index)) >= BLOCK_CSR_MIN_NODES
+    ):
+        return bct.block_csr(block_index)
+    return bct.block_subgraph(block_index)
+
+
 def block_diameter_bound(
     bct: BlockCutTree, block_index: int, seed: SeedLike = None
 ) -> int:
     """Upper bound on the hop diameter of one block."""
-    block = bct.block_subgraph(block_index)
+    return _block_diameter_bound(_block_graph(bct, block_index), seed)
+
+
+def _block_diameter_bound(block, seed: SeedLike) -> int:
     if block.number_of_nodes() <= _EXACT_DIAMETER_THRESHOLD:
         return exact_diameter(block)
     return estimate_diameter(block, seed)
@@ -96,8 +118,8 @@ def bs_bound(
         members = [node for node in block_nodes if node in target_set]
         if not members:
             continue
-        block = bct.block_subgraph(index)
-        block_diameter = block_diameter_bound(bct, index, rng)
+        block = _block_graph(bct, index)
+        block_diameter = _block_diameter_bound(block, rng)
         if len(members) <= _EXACT_DIAMETER_THRESHOLD:
             subset_diameter = exact_subset_diameter(block, members)
         else:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import ABRA, KADABRA, RiondatoKornaropoulos
 from repro.centrality.brandes import (
@@ -21,17 +23,23 @@ from repro.centrality.brandes import (
     single_source_dependencies,
 )
 from repro.centrality.closeness import closeness_centrality
-from repro.datasets import random_subset
+from repro.datasets import load, random_subset
+from repro.datasets.synthetic import karate_club_graph
 from repro.graphs import bidirectional
 from repro.graphs import csr as csr_module
+from repro.graphs import diameter
 from repro.graphs.bidirectional import (
     bidirectional_shortest_paths,
     bidirectional_shortest_paths_batch,
 )
+from repro.graphs.block_cut_tree import build_block_cut_tree
 from repro.graphs.generators import (
     barabasi_albert_graph,
+    barbell_graph,
+    cycle_graph,
     erdos_renyi_graph,
     grid_road_graph,
+    path_graph,
     watts_strogatz_graph,
     weighted_barabasi_albert_graph,
     weighted_grid_road_graph,
@@ -39,8 +47,11 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, shortest_path_dag
 from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_bc import exact_bc, isp
+from repro.saphyra_bc.exact_bc import exact_two_hop_risks
 from repro.saphyra_bc.gen_bc import GenBC, GenBCStatistics
 from repro.saphyra_bc.isp import PersonalizedISP
+from repro.saphyra_bc.vc_bounds import personalized_vc_dimension, vc_bound_report
 from repro.saphyra_cc.algorithm import SaPHyRaCC
 from repro.saphyra_cc.problem import ClosenessProblem
 
@@ -633,6 +644,201 @@ class TestGenBCBatchLayout:
             assert candidate == reference, label
         if label == "social":
             assert reference[4] > 0  # rejection rounds were exercised
+
+
+# ----------------------------------------------------------------------
+# SaPHyRa_bc preprocessing: array paths == loop paths
+# ----------------------------------------------------------------------
+def _two_triangles() -> Graph:
+    return Graph.from_edges([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+
+
+PREPROCESSING_GRAPHS = [
+    pytest.param(karate_club_graph, id="karate"),
+    pytest.param(lambda: barbell_graph(5, 3), id="barbell"),
+    pytest.param(lambda: path_graph(9), id="path"),
+    pytest.param(lambda: cycle_graph(9), id="cycle"),
+    pytest.param(_two_triangles, id="two-triangles"),
+    pytest.param(lambda: load("usa-road", scale=0.1, seed=0).graph, id="road"),
+    pytest.param(lambda: load("orkut", scale=0.1, seed=0).graph, id="social"),
+]
+
+
+def _target_subsets(graph: Graph, seed: int):
+    """Random targets, the cutpoints, adjacent targets and all nodes."""
+    nodes = list(graph.nodes())
+    rng = random.Random(seed)
+    subsets = [rng.sample(nodes, min(len(nodes), 1 + rng.randrange(12)))]
+    cut = build_block_cut_tree(graph).decomposition.cutpoints
+    cutpoints = [node for node in nodes if node in cut]
+    if cutpoints:
+        subsets.append(cutpoints)
+    u = rng.choice(nodes)
+    subsets.append([u] + list(graph.neighbors(u))[:3])
+    subsets.append(nodes)
+    return subsets
+
+
+def _exact_fields(graph: Graph, targets, backend):
+    space = PersonalizedISP(graph, targets=targets, backend=backend)
+    result = exact_two_hop_risks(space, targets)
+    return result.risks, result.lambda_exact, result.num_pairs, result.work
+
+
+def _assert_exact_paths_agree(graph: Graph, targets) -> None:
+    # The dict backend runs the nested loop; csr runs the arrays (numpy).
+    csr_space = PersonalizedISP(graph, targets=targets, backend="csr")
+    assert exact_bc._runs_on_arrays(csr_space) == csr_module.HAS_NUMPY
+    assert _exact_fields(graph, targets, "csr") == _exact_fields(graph, targets, "dict")
+
+
+class TestExactBCEquivalence:
+    """The numpy Exact_bc is bit-identical to the nested loop: risks,
+    lambda-hat, pair count and work compared with ``==``."""
+
+    @pytest.mark.parametrize("make_graph", PREPROCESSING_GRAPHS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fixtures(self, make_graph, seed):
+        graph = make_graph()
+        for targets in _target_subsets(graph, seed):
+            _assert_exact_paths_agree(graph, targets)
+
+    @given(
+        st.integers(min_value=3, max_value=40),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_connected_graphs(self, n, density, seed):
+        rng = random.Random(seed)
+        # A random spanning tree plus random chords: connected, with
+        # anything from a path of bridges to one big block.
+        graph = Graph()
+        for node in range(1, n):
+            graph.add_edge(node, rng.randrange(node))
+        for _ in range(int(density * n * (n - 1) / 2)):
+            u, v = rng.sample(range(n), 2)
+            graph.add_edge(u, v)
+        for targets in _target_subsets(graph, seed):
+            _assert_exact_paths_agree(graph, targets)
+
+    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    def test_small_chunks(self, monkeypatch):
+        # Chunks of one source and a handful of walks carry the risk and
+        # lambda totals across chunk boundaries exactly.
+        graph = load("orkut", scale=0.1, seed=0).graph
+        targets = random_subset(graph, 30, 3)
+        expected = _exact_fields(graph, targets, "dict")
+        for walks, keys in ((1, 1), (5, 1), (200, 1 << 16)):
+            monkeypatch.setattr(csr_module, "_TWO_HOP_WALKS", walks)
+            monkeypatch.setattr(csr_module, "_TWO_HOP_KEYS", keys)
+            assert _exact_fields(graph, targets, "csr") == expected
+
+    def test_stale_tree_runs_the_loop(self):
+        # A tree built before a mutation no longer matches the graph's
+        # slots; the array path must not read it.
+        graph = karate_club_graph()
+        tree = build_block_cut_tree(graph)
+        graph.add_node("isolated")
+        graph.add_edge("isolated", 0)
+        graph.remove_edge("isolated", 0)
+        graph.remove_node("isolated")
+        space = PersonalizedISP(
+            graph, targets=[0, 1, 2], block_cut_tree=tree, backend="csr"
+        )
+        assert not exact_bc._runs_on_arrays(space)
+
+
+class TestBatchedDiameterEquivalence:
+    """Batched distance sweeps give the per-member BFS loops' diameters."""
+
+    @pytest.mark.parametrize("make_graph", PREPROCESSING_GRAPHS)
+    @pytest.mark.parametrize("state", [None, 1])
+    def test_fixtures(self, make_graph, state, monkeypatch):
+        graph = make_graph()
+        if state is not None:  # one source per sweep
+            monkeypatch.setattr(diameter, "_SWEEP_STATE", state)
+        subsets = _target_subsets(graph, 5)
+        try:
+            csr_module.set_default_backend("dict")
+            expected = [diameter.exact_diameter(graph)] + [
+                diameter.exact_subset_diameter(graph, subset) for subset in subsets
+            ]
+        finally:
+            csr_module.set_default_backend(None)
+        snapshot = csr_module.CSRGraph.from_graph(graph)
+        for candidate in (graph, snapshot):
+            assert [diameter.exact_diameter(candidate)] + [
+                diameter.exact_subset_diameter(candidate, subset) for subset in subsets
+            ] == expected
+
+    def test_disconnected_members(self):
+        graph = Graph.from_edges([(0, 1), (1, 2), (3, 4)])
+        snapshot = csr_module.CSRGraph.from_graph(graph)
+        assert diameter.exact_subset_diameter(snapshot, [0, 2, 3, 4]) == 2
+        assert diameter.exact_diameter(snapshot) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vc_bounds_across_backends(self, seed):
+        graph = load("usa-road", scale=0.1, seed=0).graph
+        targets = random_subset(graph, 40, seed)
+        results = []
+        for backend in ("dict", "csr", None):
+            try:
+                csr_module.set_default_backend(backend)
+                tree = build_block_cut_tree(graph)
+                results.append((
+                    personalized_vc_dimension(tree, targets, seed=seed),
+                    vc_bound_report(graph, tree, targets, seed=seed),
+                ))
+            finally:
+                csr_module.set_default_backend(None)
+        assert results[0] == results[1] == results[2]
+
+
+class TestPreprocessingArraysToggle:
+    """SaPHyRaBC.rank is bit-identical with the array preprocessing on and
+    forced off (loop Exact_bc, per-member BFS, subgraph searches), for
+    either backend and any worker count."""
+
+    @pytest.fixture(scope="class", params=["road", "social"])
+    def case(self, request):
+        if request.param == "road":
+            graph = load("usa-road", scale=0.1, seed=0).graph
+        else:
+            graph = load("orkut", scale=0.1, seed=0).graph
+        return graph, random_subset(graph, 25, 4)
+
+    @staticmethod
+    def run(graph, targets, backend, workers):
+        result = SaPHyRaBC(
+            0.1, 0.1, seed=5, max_samples_cap=300, backend=backend, workers=workers
+        ).rank(graph, targets)
+        return result.scores, result.ranking, result.num_samples, result.lambda_exact
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_rank(self, case, backend, workers, monkeypatch):
+        graph, targets = case
+        expected = self.run(graph, targets, "dict", 0)
+        assert self.run(graph, targets, backend, workers) == expected
+        monkeypatch.setattr(exact_bc, "_runs_on_arrays", lambda space: False)
+        monkeypatch.setattr(diameter, "_sweeps_batched", lambda graph: False)
+        monkeypatch.setattr(isp, "searches_run_on_csr", lambda n, m, backend: False)
+        assert self.run(graph.copy(), targets, backend, workers) == expected
+
+    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    def test_auto_searches_big_block_through_snapshot(self, monkeypatch):
+        # n + m above the bidirectional auto threshold: Gen_bc searches the
+        # block's memoised snapshot instead of a dict subgraph.
+        graph = barabasi_albert_graph(2000, 8, seed=1)
+        targets = random_subset(graph, 25, 4)
+        space = PersonalizedISP(graph, targets=targets)
+        assert isinstance(space.search_graph(0, None), csr_module.CSRGraph)
+        assert not isinstance(space.search_graph(0, "dict"), csr_module.CSRGraph)
+        expected = self.run(graph, targets, None, 0)
+        monkeypatch.setattr(isp, "searches_run_on_csr", lambda n, m, backend: False)
+        assert self.run(graph.copy(), targets, None, 0) == expected
 
 
 class TestDAGCacheEquivalence:

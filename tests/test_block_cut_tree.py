@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.centrality.brandes import betweenness_centrality
 from repro.errors import GraphError
-from repro.graphs.block_cut_tree import build_block_cut_tree
+from repro.graphs import csr as csr_module
+from repro.graphs.block_cut_tree import build_block_cut_tree, memoized_block_cut_tree
 from repro.graphs.components import largest_connected_component
-from repro.graphs.generators import erdos_renyi_graph, path_graph
+from repro.graphs.generators import barbell_graph, erdos_renyi_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 
@@ -169,3 +173,118 @@ class TestDistancePreservation:
             restricted = bfs_distances(block_graph, source)
             for node in block_nodes:
                 assert restricted[node] == full[node]
+
+
+
+def _rank(graph, targets):
+    from repro.saphyra_bc import SaPHyRaBC
+
+    result = SaPHyRaBC(0.1, 0.1, seed=3, max_samples_cap=200, workers=0).rank(
+        graph, targets
+    )
+    return result.scores, result.ranking, result.num_samples, result.gamma
+
+
+class TestMemo:
+    def test_unchanged_graph_returns_same_tree(self, karate):
+        tree = memoized_block_cut_tree(karate)
+        assert memoized_block_cut_tree(karate) is tree
+        assert tree.version == karate._version
+        assert tree.graph is karate
+
+    def test_rank_uses_the_memo(self, karate):
+        _rank(karate, [0, 1, 2, 33])
+        tree = memoized_block_cut_tree(karate)
+        _rank(karate, [5, 6])
+        assert memoized_block_cut_tree(karate) is tree
+
+    def test_add_edge_merging_blocks(self):
+        graph = barbell_graph(5, 3)
+        targets = list(graph.nodes())[:8]
+        _rank(graph, targets)
+        before = memoized_block_cut_tree(graph)
+        blocks = before.num_blocks
+        # Close the bridge path into a cycle: its bridges and one clique
+        # merge into one block.
+        path_end, clique_node = list(graph.nodes())[-1], 0
+        graph.add_edge(path_end, clique_node)
+        after = memoized_block_cut_tree(graph)
+        assert after is not before and after.num_blocks < blocks
+        assert _rank(graph, targets) == _rank(graph.copy(), targets)
+
+    def test_remove_edge_splitting_block(self):
+        # A square with a chord: one block.
+        graph = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        targets = [0, 1, 3]
+        _rank(graph, targets)
+        before = memoized_block_cut_tree(graph)
+        assert before.num_blocks == 1
+        graph.remove_edge(1, 2)  # 0-1 becomes a bridge, 0 a cutpoint
+        after = memoized_block_cut_tree(graph)
+        assert after is not before and after.num_blocks > 1
+        assert _rank(graph, targets) == _rank(graph.copy(), targets)
+
+    def test_memo_does_not_keep_graph_alive(self):
+        graph = erdos_renyi_graph(60, 0.1, seed=2)
+        graph = graph.subgraph(largest_connected_component(graph))
+        _rank(graph, list(graph.nodes())[:10])
+        tree = memoized_block_cut_tree(graph)
+        if csr_module.HAS_NUMPY:
+            tree.edge_blocks()
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+        with pytest.raises(GraphError):
+            tree.graph
+
+    def test_memoized_tree_pickles_with_its_graph(self, karate):
+        tree = memoized_block_cut_tree(karate)
+        tree.block_subgraph(0)
+        clone = pickle.loads(pickle.dumps(tree))
+        assert list(clone.graph.edges()) == list(karate.edges())
+        assert clone.out_reach == tree.out_reach
+        assert clone.block_subgraph(0).number_of_nodes() == len(tree.block_nodes(0))
+
+    def test_block_subgraph_not_pinned(self, karate):
+        tree = memoized_block_cut_tree(karate)
+        alive = weakref.ref(tree.block_subgraph(0))
+        gc.collect()
+        assert alive() is None
+
+
+class TestDerivedArrays:
+    def test_block_csr_matches_subgraph_snapshot(self, karate, barbell):
+        for graph in (karate, barbell):
+            tree = build_block_cut_tree(graph)
+            for index in range(tree.num_blocks):
+                snapshot = tree.block_csr(index)
+                expected = csr_module.CSRGraph.from_graph(tree.block_subgraph(index))
+                assert snapshot.labels == expected.labels
+                assert list(snapshot.indptr) == list(expected.indptr)
+                assert list(snapshot.indices) == list(expected.indices)
+                assert tree.block_csr(index) is snapshot
+
+    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_edge_blocks_match_common_block(self, seed):
+        graph = erdos_renyi_graph(40, 0.08, seed=seed)
+        graph = graph.subgraph(largest_connected_component(graph))
+        tree = build_block_cut_tree(graph)
+        snapshot = csr_module.as_csr(graph)
+        edges = tree.edge_blocks()
+        slot = 0
+        for u in snapshot.labels:
+            for w in graph.neighbors(u):
+                shared = set(tree.blocks_of(u)) & set(tree.blocks_of(w))
+                assert shared == {int(edges.block[slot])}
+                block = int(edges.block[slot])
+                assert edges.tail_reach[slot] == tree.out_reach[block][u]
+                assert edges.head_reach[slot] == tree.out_reach[block][w]
+                slot += 1
+
+    def test_edge_blocks_refuse_a_changed_graph(self, karate):
+        tree = build_block_cut_tree(karate)
+        karate.add_edge(0, next(v for v in karate.nodes() if v and not karate.has_edge(0, v)))
+        with pytest.raises(GraphError):
+            tree.edge_blocks()

@@ -22,6 +22,7 @@ from repro.graphs.csr import (
     resolve_backend,
     set_default_backend,
     sigma_choice,
+    two_hop_paths,
 )
 from repro.graphs.generators import erdos_renyi_graph, path_graph
 from repro.graphs.graph import Graph
@@ -328,3 +329,81 @@ class TestPurePythonFallback:
         assert dag.sigma[3] == 2
         path = dag.sample_path_indices(3, random.Random(0))
         assert path[0] == 0 and path[-1] == 3 and len(path) == 3
+
+
+def _two_hop_reference(snapshot, sources):
+    """Nested neighbour loop: every two-hop walk in adjacency order, with
+    the first walk of its (source, endpoint) pair or -1 (not a shortest
+    path)."""
+    indptr, indices = snapshot.adjacency_lists()
+    walks = []
+    for source in sources:
+        neighbours = set(indices[indptr[source]:indptr[source + 1]])
+        first_walk = {}
+        for first in range(indptr[source], indptr[source + 1]):
+            middle = indices[first]
+            for second in range(indptr[middle], indptr[middle + 1]):
+                endpoint = indices[second]
+                if endpoint == source or endpoint in neighbours:
+                    pair = -1
+                else:
+                    pair = first_walk.setdefault(endpoint, len(walks))
+                walks.append((source, first, second, pair))
+    return walks
+
+
+@pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+class TestTwoHopPaths:
+    @staticmethod
+    def gather(snapshot, sources):
+        """Concatenate the chunks, rebasing chunk-local pair indices."""
+        walks = []
+        for chunk in two_hop_paths(snapshot, sources):
+            base = len(walks)
+            for owner, first, second, pair in zip(
+                chunk.owner.tolist(), chunk.first_slot.tolist(),
+                chunk.second_slot.tolist(), chunk.pair.tolist(),
+            ):
+                walks.append((
+                    int(chunk.sources[owner]), first, second,
+                    pair + base if pair >= 0 else -1,
+                ))
+        return walks
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("walk_cap, key_cap", [(1 << 13, 1 << 16), (7, 64), (1, 1)])
+    def test_matches_nested_loop(self, monkeypatch, seed, walk_cap, key_cap):
+        monkeypatch.setattr(csr_module, "_TWO_HOP_WALKS", walk_cap)
+        monkeypatch.setattr(csr_module, "_TWO_HOP_KEYS", key_cap)
+        graph = erdos_renyi_graph(40, 0.12, seed=seed)
+        snapshot = CSRGraph.from_graph(graph)
+        sources = random.Random(seed).sample(range(snapshot.n), 15)
+        sources += sources[:3]  # a repeated source is walked again
+        walks = self.gather(snapshot, sources)
+        reference = _two_hop_reference(snapshot, sources)
+        # Chunks restart pair numbering, so compare pairs within a source.
+        assert [w[:3] for w in walks] == [w[:3] for w in reference]
+        assert [w[3] >= 0 for w in walks] == [w[3] >= 0 for w in reference]
+        for mine, theirs in zip(walks, reference):
+            if mine[3] >= 0:
+                assert walks[mine[3]][1:3] == reference[theirs[3]][1:3]
+
+    def test_chunks_respect_caps(self, monkeypatch):
+        monkeypatch.setattr(csr_module, "_TWO_HOP_WALKS", 50)
+        monkeypatch.setattr(csr_module, "_TWO_HOP_KEYS", 3 * 40)
+        snapshot = CSRGraph.from_graph(erdos_renyi_graph(40, 0.15, seed=4))
+        degree = [snapshot.degree(i) for i in range(snapshot.n)]
+        for chunk in two_hop_paths(snapshot, range(snapshot.n)):
+            assert len(chunk.sources) <= 3
+            walks = [
+                sum(degree[m] for m in snapshot.neighbors(s).tolist())
+                for s in chunk.sources.tolist()
+            ]
+            assert sum(walks) <= 50 or len(walks) == 1
+            assert chunk.pair.size == sum(walks)
+
+    def test_empty_and_invalid_sources(self):
+        snapshot = CSRGraph.from_graph(path_graph(4))
+        assert list(two_hop_paths(snapshot, [])) == []
+        with pytest.raises(GraphError):
+            list(two_hop_paths(snapshot, [4]))

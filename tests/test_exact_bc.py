@@ -116,3 +116,20 @@ class TestDiagnostics:
         space = PersonalizedISP(karate, targets=targets)
         evaluation = exact_two_hop_risks(space, targets)
         assert sum(evaluation.risks) <= evaluation.lambda_exact + 1e-9
+
+
+class TestTargetsMustMatchSpace:
+    def test_reordered_targets_rejected(self, karate):
+        targets = [0, 5, 33]
+        space = PersonalizedISP(karate, targets=targets)
+        with pytest.raises(ValueError, match="space.targets"):
+            exact_two_hop_risks(space, list(reversed(targets)))
+
+    def test_other_targets_rejected(self, karate):
+        space = PersonalizedISP(karate, targets=[0, 5, 33])
+        with pytest.raises(ValueError):
+            exact_two_hop_risks(space, [0, 5])
+
+    def test_equal_sequence_accepted(self, karate):
+        space = PersonalizedISP(karate, targets=[0, 5, 33])
+        assert len(exact_two_hop_risks(space, (0, 5, 33)).risks) == 3

@@ -11,7 +11,7 @@ Three workloads on the Flickr-surrogate (social) and USA-road-surrogate
   ``from_graph``), benchmarked for side-by-side comparison.
 * **Payload pickle** — ``pickle.dumps`` of the snapshot-file worker
   payload: a path + header handle of a few hundred bytes, independent of
-  graph size, with zero shared-memory blocks exported.
+  graph size, shipping the store's own file (nothing spilled).
 
 ``benchmarks/check_snapshot_baseline.py`` measures the same workloads
 head-to-head and gates CI on the ratio floors committed in
@@ -31,7 +31,7 @@ import pytest
 
 import repro.parallel as parallel
 from repro.datasets import load
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, HAS_NUMPY
 from repro.graphs.store import load_snapshot, save_snapshot
 
 TOPOLOGIES = ("social", "road")
@@ -70,12 +70,12 @@ def test_bench_rebuild_baseline(benchmark, topology):
 
 def test_bench_payload_pickle(benchmark, snapshot_path):
     """Pickling the snapshot-file worker payload (path + header)."""
-    if not parallel.shared_memory_available():
-        pytest.skip("numpy/shared_memory unavailable")
+    if not HAS_NUMPY:
+        pytest.skip("numpy unavailable")
     _topology, path = snapshot_path
     csr = load_snapshot(path)
     payload = parallel.shareable_graph(csr, backend="csr")
     assert isinstance(payload, parallel.SharedCSRPayload)
     blob = benchmark(pickle.dumps, payload)
     assert len(blob) < 512
-    assert payload.block_names() == []
+    assert payload.spill_path is None

@@ -106,11 +106,11 @@ def _ratio_payload_bytes(topology: str, directory: Path) -> float:
     csr = load_snapshot(path)
     payload = parallel.shareable_graph(csr, backend="csr")
     if not isinstance(payload, parallel.SharedCSRPayload):  # pragma: no cover
-        raise RuntimeError("expected a SharedCSRPayload; is shared memory off?")
+        raise RuntimeError("expected a SharedCSRPayload for the csr backend")
     blob = pickle.dumps(payload)
     fn, _args = payload._handle
     assert fn is parallel._attach_snapshot_file, "file handoff did not engage"
-    assert payload.block_names() == [], "file handoff must not export blocks"
+    assert payload.spill_path is None, "file handoff must not spill a copy"
     return _array_bytes(csr) / len(blob)
 
 
@@ -136,12 +136,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.parallel import shared_memory_available
+    from repro.graphs.csr import HAS_NUMPY
 
-    if not shared_memory_available():
-        # The payload scenario needs the shared-memory stack (numpy); the
-        # no-numpy CI leg gates nothing here rather than measuring noise.
-        print("shared memory unavailable; skipping snapshot baseline gate")
+    if not HAS_NUMPY:
+        # Both scenarios need numpy (memory-mapped loads, the file
+        # handoff); the no-numpy CI leg gates nothing here rather than
+        # measuring noise.
+        print("numpy unavailable; skipping snapshot baseline gate")
         return 0
 
     baseline = json.loads(BASELINE_PATH.read_text())

@@ -39,6 +39,7 @@ from repro.errors import (
     ConvergenceError,
     DatasetError,
     GraphError,
+    ParallelError,
     ReproError,
     SamplingError,
 )
@@ -50,4 +51,5 @@ __all__ = [
     "SamplingError",
     "DatasetError",
     "ConvergenceError",
+    "ParallelError",
 ]

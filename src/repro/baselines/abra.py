@@ -48,8 +48,8 @@ def _abra_sample_chunk(payload, piece: Tuple[int, int]):
 
     The chunk's RNG stream is seeded from ``(base_seed, chunk_index)`` only,
     so the partials — and the chunk-order fold of them — are identical for
-    any worker count.  The payload's graph slot may be a shared-memory
-    snapshot handle (:func:`repro.parallel.shareable_graph`); the source-DAG
+    any worker count.  The payload's graph slot may be a snapshot-file
+    handle (:func:`repro.parallel.shareable_graph`); the source-DAG
     cache keys on the attached snapshot exactly as it would on a graph.
     """
     estimator, graph, nodes, backend, use_weights, base_seed = payload

@@ -52,7 +52,7 @@ class BaderPivot:
         ``REPRO_WORKERS``); bit-identical for any worker count.  The pivot
         sweep inherits the exact-Brandes fold contract: each chunk of pivots
         reduces to one dependency partial in-worker, and CSR payloads reach
-        workers through the shared-memory handoff when it is active.
+        workers through the snapshot-file handoff.
     """
 
     name = "bader"

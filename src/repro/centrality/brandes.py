@@ -256,7 +256,7 @@ def _dependency_chunk(payload, chunk: Sequence[Node]):
     CSR backend: one batched multi-source sweep per chunk, with each row's
     ``delta[source]`` residue zeroed before folding — mirroring the
     ``dependency.pop(source)`` of the dict implementation.  The payload's
-    graph slot may be a shared-memory snapshot handle
+    graph slot may be a snapshot-file handle
     (:func:`repro.parallel.shareable_graph`).
     """
     graph, backend, use_weights = payload
@@ -309,8 +309,8 @@ def _sum_dependencies(
     addition order is therefore a pure function of the fixed chunk layout —
     identical for the serial path, any worker count, and both backends (the
     backend-equivalence tests assert bit-identical totals).  CSR payloads
-    hand the frozen snapshot to workers through the shared-memory path when
-    it is enabled and available.
+    hand the frozen snapshot to workers as a snapshot file
+    (:func:`repro.parallel.shareable_graph`).
     """
     choice = _csr.effective_backend(graph, backend)
     use_weights = _sssp.effective_weighted(graph, weighted)

@@ -27,7 +27,7 @@ def _distance_stats_chunk(payload, chunk: Sequence[Node]) -> List[Tuple[int, flo
     nothing bulkier ever crosses the process boundary.  CSR backend: one
     batched multi-source distance sweep per chunk (thin road-network
     frontiers from the whole chunk merge into one fat one), with the
-    snapshot arriving zero-copy when the shared-memory handoff is active.
+    snapshot arriving as a snapshot file (the worker handoff).
     Weighted sweeps run the Dijkstra engine; their float distance totals
     are summed in node-index order under *both* backends (the CSR row
     order equals the graph's insertion order), so dict/csr/worker results

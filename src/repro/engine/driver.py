@@ -148,8 +148,9 @@ class SampleDriver:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         # Mirror WorkerPool's lifecycle contract: a clean exit drains
-        # in-flight chunks (close + join), an exception hard-stops the
-        # workers.  Both paths release shared-memory payload blocks.
+        # every submitted chunk, an exception kills the workers and
+        # cancels the rest.  Both paths unlink the payload's spilled
+        # snapshot file.
         if exc_type is not None:
             self._pool.terminate()
         else:

@@ -37,3 +37,8 @@ class DatasetError(ReproError):
 class ConvergenceError(ReproError):
     """Raised when an adaptive estimator exhausts its budget without
     reaching the requested error tolerance and strict mode is enabled."""
+
+
+class ParallelError(ReproError):
+    """Raised when a worker process dies before returning a chunk's result
+    (a crash, the OOM killer, ``os._exit``), instead of hanging the map."""

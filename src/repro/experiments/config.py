@@ -73,7 +73,6 @@ class ExperimentConfig:
     dag_cache_budget: Optional[int] = None
     dag_cache_delta: Optional[str] = None
     delta_journal_size: Optional[int] = None
-    shared_memory: Optional[bool] = None
     weighted: Optional[str] = None
     sssp_kernel: Optional[str] = None
     compiled: Optional[str] = None

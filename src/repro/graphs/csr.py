@@ -115,7 +115,7 @@ def effective_backend(
         search allocates per-query state arrays) pass a larger cutoff.
     """
     if isinstance(graph, CSRGraph):
-        # A frozen snapshot (e.g. a zero-copy shared-memory handoff from
+        # A frozen snapshot (e.g. a worker's attached snapshot file from
         # repro.parallel) can only run the array kernels; there is no dict
         # adjacency to fall back to.
         return CSR_BACKEND
@@ -205,7 +205,7 @@ class CSRGraph:
     #: count/lookup methods below) lets version-keyed caches — the CSR
     #: snapshot cache, the engine's ``SourceDAGCache`` — and backend dispatch
     #: treat a bare snapshot exactly like a graph.  Worker processes receive
-    #: bare snapshots through the shared-memory handoff in
+    #: bare snapshots through the snapshot-file handoff in
     #: :mod:`repro.parallel`.
     _version = 0
 
@@ -232,8 +232,8 @@ class CSRGraph:
             )
         # Set by repro.graphs.store when the snapshot is backed by an
         # on-disk file (saved or loaded, possibly as read-only np.memmap
-        # views).  repro.parallel uses it to hand workers a path + header
-        # instead of re-exporting the arrays to shared memory.  Patched
+        # views).  repro.parallel hands workers this path + header instead
+        # of spilling the arrays to a temporary snapshot file.  Patched
         # snapshots (_patched_snapshot) construct fresh arrays and so drop
         # the backing file — copy-on-write, the mapped file is never
         # written through.
@@ -283,8 +283,8 @@ class CSRGraph:
         """Persist the snapshot to ``path`` (see :mod:`repro.graphs.store`).
 
         The written file is versioned and checksummed; on success
-        ``self.source_path`` points at it, arming the zero-copy worker
-        handoff in :mod:`repro.parallel`.  Returns the written path.
+        ``self.source_path`` points at it, so :mod:`repro.parallel` ships
+        this file to workers.  Returns the written path.
         """
         from repro.graphs.store import save_snapshot
 
@@ -538,7 +538,7 @@ def as_csr(graph: Graph) -> CSRGraph:
     patched in O(|Δ| + copy) instead of re-walking the whole adjacency,
     byte-identical to a from-scratch build.  Repeated calls on an unchanged
     graph are O(1).  A :class:`CSRGraph` passes through unchanged, so code
-    holding either a graph or a bare snapshot (a shared-memory worker
+    holding either a graph or a bare snapshot (a worker's attached
     payload, or a memory-mapped on-disk snapshot from
     :mod:`repro.graphs.store` — whose arrays stay read-only; patching a
     *mutated* graph always materialises fresh in-RAM arrays, i.e.

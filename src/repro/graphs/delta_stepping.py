@@ -43,7 +43,7 @@ semantics:
 Because results are identical, the ``sssp_kernel`` knob — like
 ``backend`` and ``direction`` — affects speed only: the dict reference
 stays the single oracle, ``SourceDAGCache`` keys need no kernel
-component, and every worker/shared-memory contract holds unchanged.
+component, and every worker-handoff contract holds unchanged.
 
 Bucket bookkeeping is *robust*, not trusted: bucket ids are a processing
 heuristic (floor(dist / Δ) with float rounding at boundaries), and the

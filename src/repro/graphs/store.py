@@ -2,11 +2,10 @@
 
 ROADMAP open item 3: the paper's headline workload is the USA road network
 (~24M nodes), but every run of this repo used to rebuild each graph in
-process RAM — an O(V+E) parse-and-generate on every cold start.  The PR-4
-shared-memory export already fixed the frozen array layout workers consume
-(``indptr``/``indices``/``weights`` + labels); this module *persists* that
-layout, so a cold start becomes an O(1) ``np.memmap`` attach and graphs
-larger than RAM page in on demand:
+process RAM — an O(V+E) parse-and-generate on every cold start.  This
+module *persists* the frozen array layout workers consume
+(``indptr``/``indices``/``weights`` + labels), so a cold start becomes an
+O(1) ``np.memmap`` attach and graphs larger than RAM page in on demand:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — write a
   :class:`~repro.graphs.csr.CSRGraph` to a single versioned, checksummed
@@ -14,9 +13,10 @@ larger than RAM page in on demand:
   (also reachable as ``CSRGraph.save(path)`` / ``CSRGraph.load(path)``).
   A loaded (or freshly saved) snapshot remembers its backing file in
   ``CSRGraph.source_path``, which :mod:`repro.parallel` uses to hand the
-  graph to worker processes as *a path plus a header* — the snapshot file
-  is the shared block, nothing is re-exported to
-  ``multiprocessing.shared_memory``.
+  graph to worker processes as *a path plus a header*.
+* :func:`write_snapshot` — the same format to an open file, without
+  touching ``source_path``: :mod:`repro.parallel` spills a snapshot that
+  has no file to a temporary one this way, once per pool.
 * :class:`SnapshotStore` — a directory of snapshots addressed by string
   keys (plus JSON side-car metadata), used by the datasets registry to
   memoise generated graphs and by benches/tests for scratch stores.
@@ -89,7 +89,7 @@ import zlib
 from array import array
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import knobs as _knobs
 from repro.errors import GraphError
@@ -154,9 +154,8 @@ def effective_mmap(mmap: Optional[str] = None) -> bool:
 
     ``auto`` and ``on`` both map when numpy is importable; on numpy-less
     installs every mode degrades to in-RAM ``array`` reads (and the worker
-    handoff to the pickle payload), mirroring how an enabled-but-
-    unavailable shared-memory knob degrades silently.  The choice never
-    changes results — mapped and in-RAM arrays are byte-identical.
+    handoff to the pickle payload).  The choice never changes results —
+    mapped and in-RAM arrays are byte-identical.
     """
     return resolve_mmap(mmap) != MMAP_OFF and HAS_NUMPY
 
@@ -194,24 +193,20 @@ def _pad(size: int) -> int:
     return (-size) % 8
 
 
-def save_snapshot(graph, path: PathLike) -> Path:
-    """Write the CSR snapshot of ``graph`` to ``path`` (atomically).
+def write_snapshot(csr: CSRGraph, handle: BinaryIO, *, path: PathLike) -> None:
+    """Write ``csr`` in the snapshot file format to an open binary file.
 
-    ``graph`` may be a :class:`~repro.graphs.graph.Graph` (its cached CSR
-    snapshot is taken via :func:`~repro.graphs.csr.as_csr`) or a bare
-    :class:`~repro.graphs.csr.CSRGraph`.  The write goes through a
-    temporary file + ``os.replace``, so a crash mid-write never leaves a
-    half-written snapshot under the final name.  On success the snapshot's
-    ``source_path`` is set to the written file, arming the zero-copy
-    worker handoff in :mod:`repro.parallel`.
+    No side effect on ``csr``: unlike :func:`save_snapshot` this does not
+    set ``source_path``, so :mod:`repro.parallel` can spill a payload's
+    snapshot to a temporary file without arming the cached CSR.  ``path``
+    only names the file in errors.
 
     Raises
     ------
     GraphError
-        If a node label is not JSON-serialisable (int/str).
+        If a node label is not JSON-serialisable (int/str); nothing has
+        been written then.
     """
-    csr = as_csr(graph)
-    path = Path(path)
     labels_blob = _labels_blob(csr, path=path)
     indptr_bytes = _array_bytes(csr.indptr, path=path)
     indices_bytes = _array_bytes(csr.indices, path=path)
@@ -239,16 +234,37 @@ def save_snapshot(graph, path: PathLike) -> Path:
         len(labels_blob),
         arrays_crc,
     )
+    handle.write(header)
+    handle.write(labels_blob)
+    handle.write(b"\0" * _pad(len(labels_blob)))
+    handle.write(indptr_bytes)
+    handle.write(indices_bytes)
+    handle.write(weights_bytes)
+
+
+def save_snapshot(graph, path: PathLike) -> Path:
+    """Write the CSR snapshot of ``graph`` to ``path`` (atomically).
+
+    ``graph`` may be a :class:`~repro.graphs.graph.Graph` (its cached CSR
+    snapshot is taken via :func:`~repro.graphs.csr.as_csr`) or a bare
+    :class:`~repro.graphs.csr.CSRGraph`.  The write goes through a
+    temporary file + ``os.replace``, so a crash mid-write never leaves a
+    half-written snapshot under the final name.  On success the snapshot's
+    ``source_path`` is set to the written file, so :mod:`repro.parallel`
+    ships this file to workers instead of spilling its own.
+
+    Raises
+    ------
+    GraphError
+        If a node label is not JSON-serialisable (int/str).
+    """
+    csr = as_csr(graph)
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(labels_blob)
-            handle.write(b"\0" * _pad(len(labels_blob)))
-            handle.write(indptr_bytes)
-            handle.write(indices_bytes)
-            handle.write(weights_bytes)
+            write_snapshot(csr, handle, path=path)
         os.replace(tmp, path)
     finally:
         if tmp.exists():  # pragma: no cover - only on a failed write
@@ -467,8 +483,8 @@ def content_digest(graph) -> str:
     Covers the node labels (in insertion order), each node's neighbour
     list (in adjacency order — the order every deterministic traversal
     scans) and, on weighted graphs, the float64 edge weights.  A dict
-    :class:`~repro.graphs.graph.Graph` and any CSR snapshot of it (in-RAM,
-    shared-memory or memory-mapped) produce the **same** digest, so
+    :class:`~repro.graphs.graph.Graph` and any CSR snapshot of it (in-RAM
+    or memory-mapped) produce the **same** digest, so
     content-addressed caches — the ``GroundTruthCache`` disk tier — hit
     across process restarts and across backends.
     """

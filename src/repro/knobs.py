@@ -367,15 +367,6 @@ DELTA_JOURNAL_SIZE = CountKnob(
          "past the cap degrade to wholesale cache eviction; never "
          "changes results",
 )
-SHARED_MEMORY = SwitchKnob(
-    "shared_memory", "REPRO_SHARED_MEMORY", default=True,
-    help="zero-copy shared-memory handoff of the CSR graph to worker "
-         "processes (on by default when numpy and "
-         "multiprocessing.shared_memory are available; when passed "
-         "explicitly it overrides REPRO_SHARED_MEMORY).  Never changes "
-         "results, only wall-clock time; 'off' ships the classic "
-         "pickle payload",
-)
 SNAPSHOT_DIR = PathKnob(
     "snapshot_dir", "REPRO_SNAPSHOT_DIR", default=None, metavar="DIR",
     help="on-disk CSR snapshot store: datasets are memoised to "
@@ -408,7 +399,6 @@ KNOBS: Tuple[Knob, ...] = (
     DAG_CACHE_BUDGET,
     DAG_CACHE_DELTA,
     DELTA_JOURNAL_SIZE,
-    SHARED_MEMORY,
     SNAPSHOT_DIR,
     MMAP,
 )

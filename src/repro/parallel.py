@@ -22,55 +22,59 @@ Determinism contract
 
 Hence ``workers=8`` is bit-identical to ``workers=1`` and to the in-process
 serial path (``workers=0``), and the backend-equivalence property tests
-assert exactly that.
+assert exactly that.  A worker process that dies mid-chunk (a crash, the
+OOM killer, ``os._exit``) raises :class:`~repro.errors.ParallelError`
+naming the lost chunk instead of hanging the map.
 
-Shared-memory graph handoff
+Snapshot-file graph handoff
 ---------------------------
 Chunk payloads usually contain the graph, and the graph dominates the
-payload's pickle size.  When numpy and :mod:`multiprocessing.shared_memory`
-are available, :func:`shareable_graph` wraps the frozen CSR snapshot in a
-:class:`SharedCSRPayload`: the ``indptr``/``indices`` (and, on weighted
-snapshots, ``weights``) arrays are exported into shared-memory blocks
-**once per pool** (lazily, on the first payload
-pickle — the serial path and ``fork`` pools, which inherit memory, never
-export anything) and worker processes attach zero-copy views instead of
-unpickling the adjacency.  Blocks are unlinked when the owning
-:class:`WorkerPool` shuts down, on the clean path and on the exception path
-alike.  When the snapshot is already backed by an on-disk snapshot file
-(:mod:`repro.graphs.store`) and the ``mmap`` knob resolves to mapping, the
-export is skipped entirely: the payload is the file path plus a header and
-each worker attaches read-only ``np.memmap`` views of the file itself —
-the file *is* the shared block.  The handoff never changes results —
-workers see the same arrays bit for bit — and degrades gracefully to the
-pickle payload when numpy or ``shared_memory`` is missing or block
-allocation fails.
+payload's pickle size.  :func:`shareable_graph` wraps the frozen CSR
+snapshot in a :class:`SharedCSRPayload`, which pickles as a snapshot-file
+path plus a header: each worker attaches the file written by
+:mod:`repro.graphs.store` (read-only ``np.memmap`` views under the ``mmap``
+knob) instead of unpickling the adjacency.  A snapshot already backed by
+a file ships that file; any other snapshot is spilled **once per pool** to
+a temporary snapshot file (in ``/dev/shm`` when the platform has it, else
+the temp directory), lazily on the first payload pickle — the serial path
+and ``fork`` pools, which inherit memory, never write anything.  The
+payload owns the spilled file and the owning :class:`WorkerPool` unlinks it
+on every shutdown path.  Without numpy, with a node label the snapshot
+format cannot store (not an int or str), or when the spill write fails,
+the payload degrades to shipping the arrays by value (the pickle payload)
+and logs the reason at INFO on the ``repro.parallel`` logger.  The
+handoff never changes results: workers see the same arrays bit for bit.
 
 Configuration
 -------------
-The ``workers`` (default 0, serial), ``start_method`` (default: the
-platform's) and ``shared_memory`` (default on) knobs are rows of the
-:mod:`repro.knobs` table: argument > :func:`set_default_workers` /
-:func:`set_default_start_method` / :func:`set_shared_memory_enabled` (the
-CLI's ``--workers``/``--start-method``/``--shared-memory``) > the
-``REPRO_*`` variable > default.  Everything shipped to workers is
-picklable top-level functions plus payload objects, so the pool is
-spawn-safe (CI runs the equivalence suite under ``spawn``).
+The ``workers`` (default 0, serial) and ``start_method`` (default: the
+platform's) knobs are rows of the :mod:`repro.knobs` table: argument >
+:func:`set_default_workers` / :func:`set_default_start_method` (the CLI's
+``--workers``/``--start-method``) > the ``REPRO_*`` variable > default.
+Everything shipped to workers is picklable top-level functions plus
+payload objects, so the pool is spawn-safe (CI runs the equivalence suite
+under ``spawn``).
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import random
+import reprlib
+import tempfile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import knobs as _knobs
+from repro.errors import GraphError, ParallelError
 from repro.knobs import EnvMirroredOverride  # noqa: F401  (re-exported)
 
 T = TypeVar("T")
 
+_LOG = logging.getLogger(__name__)
+
 WORKERS_ENV_VAR = _knobs.WORKERS.env_var
 START_METHOD_ENV_VAR = _knobs.START_METHOD.env_var
-SHARED_MEMORY_ENV_VAR = _knobs.SHARED_MEMORY.env_var
 
 #: Default number of BFS sources assigned to one worker task.
 SOURCE_CHUNK_SIZE = 32
@@ -85,12 +89,6 @@ default_workers = _knobs.WORKERS.resolve
 set_default_start_method = _knobs.START_METHOD.set
 #: The configured multiprocessing start method (``None`` = platform default).
 start_method = _knobs.START_METHOD.resolve
-set_shared_memory_enabled = _knobs.SHARED_MEMORY.set
-#: Whether payloads should use the shared-memory handoff when possible;
-#: availability is checked separately (:func:`shared_memory_available`),
-#: and an enabled-but-unavailable configuration falls back to the pickle
-#: payload silently.
-shared_memory_enabled = _knobs.SHARED_MEMORY.resolve
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -99,32 +97,18 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     ``0`` and ``1`` both execute in-process (a one-worker pool would only add
     IPC overhead); counts above 1 use a process pool.
 
-    Every executor variable — ``REPRO_WORKERS``, ``REPRO_START_METHOD`` and
-    ``REPRO_SHARED_MEMORY`` — is validated here eagerly, so a typo'd
-    variable surfaces as one clear error naming it at executor-configuration
-    time instead of mid-sweep.
+    Both executor variables — ``REPRO_WORKERS`` and ``REPRO_START_METHOD``
+    — are validated here eagerly, so a typo'd variable surfaces as one
+    clear error naming it at executor-configuration time instead of
+    mid-sweep.
     """
     _knobs.START_METHOD.env()
-    _knobs.SHARED_MEMORY.env()
     return _knobs.WORKERS.resolve(workers)
 
 
 # ----------------------------------------------------------------------
-# Shared-memory CSR handoff
+# Snapshot-file CSR handoff
 # ----------------------------------------------------------------------
-#: Lazily-probed availability of numpy + multiprocessing.shared_memory.
-_shared_memory_probe: Optional[bool] = None
-
-#: Names of shared-memory blocks currently owned (created and not yet
-#: unlinked) by this process — accounting for the leak tests.
-_active_shared_blocks: set = set()
-
-#: Worker-side cache of attached snapshots: one zero-copy ``CSRGraph`` per
-#: exported block pair, built on first attach and reused by every chunk the
-#: worker runs.  Entries also keep the ``SharedMemory`` objects referenced so
-#: the mappings stay alive for the worker's lifetime.
-_attached_snapshots: Dict[Tuple[str, str], object] = {}
-
 #: Worker-side cache of file-attached snapshots, keyed by the payload
 #: header ``(path, n, num_indices, weighted)``: one (usually memory-mapped)
 #: ``CSRGraph`` per snapshot file, attached on first use and reused by
@@ -132,100 +116,47 @@ _attached_snapshots: Dict[Tuple[str, str], object] = {}
 _attached_file_snapshots: Dict[Tuple[str, int, int, bool], object] = {}
 
 
-def shared_memory_available() -> bool:
-    """Whether the zero-copy handoff can work at all (numpy + shared_memory)."""
-    global _shared_memory_probe
-    if _shared_memory_probe is None:
-        try:
-            import numpy  # noqa: F401
-            from multiprocessing import shared_memory  # noqa: F401
-
-            _shared_memory_probe = True
-        except ImportError:  # pragma: no cover - numpy-less installs
-            _shared_memory_probe = False
-    return _shared_memory_probe
+def _spill_dir() -> str:
+    """Where spilled payload snapshots go: RAM-backed ``/dev/shm`` when the
+    platform has it, else the temp directory."""
+    return "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
 
-def _export_array(data) -> Tuple[str, object]:
-    """Copy one numpy array (int64 indices or float64 weights) into a fresh
-    shared-memory block."""
-    from multiprocessing import shared_memory
+def _spill(csr) -> str:
+    """Write ``csr`` to a fresh temporary snapshot file; return its path.
 
-    import numpy as np
-
-    block = shared_memory.SharedMemory(create=True, size=max(1, data.nbytes))
-    if data.size:
-        view = np.ndarray(data.shape, dtype=data.dtype, buffer=block.buf)
-        view[:] = data
-    _active_shared_blocks.add(block.name)
-    return block.name, block
-
-
-def _attach_shared_csr(
-    indptr_name: str,
-    indices_name: str,
-    weights_name: Optional[str],
-    n: int,
-    num_indices: int,
-    labels,
-):
-    """Worker-side reconstruction: attach blocks, build a zero-copy snapshot.
-
-    The snapshot is cached per block tuple, so the O(n) label-index setup of
-    the ``CSRGraph`` constructor runs once per worker process, not per chunk.
-    ``labels is None`` encodes the common identity labelling ``0..n-1``;
-    ``weights_name is None`` encodes a unit-weight snapshot (no third
-    block), keeping the historical handoff byte-for-byte.
+    Unlike :func:`repro.graphs.store.save_snapshot` this leaves
+    ``csr.source_path`` untouched: the file belongs to one payload and
+    disappears with it.  Raises :class:`GraphError` for a label the format
+    cannot store and :class:`OSError` when the write fails, leaving no
+    file behind either way.
     """
-    key = (indptr_name, indices_name, weights_name)
-    cached = _attached_snapshots.get(key)
-    if cached is not None:
-        return cached[0]
-    from multiprocessing import shared_memory
+    from repro.graphs.store import write_snapshot
 
-    import numpy as np
-
-    from repro.graphs.csr import CSRGraph
-
-    indptr_block = shared_memory.SharedMemory(name=indptr_name)
-    indices_block = shared_memory.SharedMemory(name=indices_name)
-    indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=indptr_block.buf)
-    indices = np.ndarray((num_indices,), dtype=np.int64, buffer=indices_block.buf)
-    blocks = [indptr_block, indices_block]
-    weights = None
-    if weights_name is not None:
-        weights_block = shared_memory.SharedMemory(name=weights_name)
-        weights = np.ndarray(
-            (num_indices,), dtype=np.float64, buffer=weights_block.buf
-        )
-        blocks.append(weights_block)
-    if labels is None:
-        labels = list(range(n))
-    snapshot = CSRGraph(indptr, indices, labels, weights)
-    # Keep the SharedMemory objects referenced: the numpy views only pin the
-    # underlying buffer, and the blocks must stay mapped for every future
-    # chunk this worker runs.
-    _attached_snapshots[key] = (snapshot, *blocks)
-    return snapshot
+    fd, path = tempfile.mkstemp(prefix="repro-payload-", suffix=".csr", dir=_spill_dir())
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write_snapshot(csr, handle, path=path)
+    except BaseException:
+        os.unlink(path)
+        raise
+    return path
 
 
 def _attach_snapshot_file(path: str, n: int, num_indices: int, weighted: bool):
-    """Worker-side reconstruction from an on-disk snapshot file.
+    """Worker-side reconstruction from a snapshot file.
 
-    The file written by :mod:`repro.graphs.store` *is* the shared block:
-    the worker attaches it (as read-only ``np.memmap`` views under the
-    resolved ``mmap`` knob — mirrored into the environment, so spawn
-    workers agree with the master), so nothing was re-exported to
-    ``multiprocessing.shared_memory`` and the pickled payload is just this
-    path plus a header.  The header is cross-checked against the file so a
-    swapped or regenerated snapshot fails loudly instead of silently
-    computing on the wrong graph.
+    The worker attaches the file written by :mod:`repro.graphs.store` (as
+    read-only ``np.memmap`` views under the resolved ``mmap`` knob —
+    mirrored into the environment, so spawn workers agree with the
+    master), so the pickled payload is just this path plus a header.  The
+    header is cross-checked against the file so a swapped or regenerated
+    snapshot fails loudly instead of silently computing on the wrong graph.
     """
     key = (path, n, num_indices, weighted)
     cached = _attached_file_snapshots.get(key)
     if cached is not None:
         return cached
-    from repro.errors import GraphError
     from repro.graphs.store import load_snapshot
 
     snapshot = load_snapshot(path)
@@ -255,141 +186,87 @@ def _rebuild_csr(indptr, indices, labels, weights=None):
 
 
 class SharedCSRPayload:
-    """A CSR snapshot inside a worker payload: zero-copy or pickle handoff.
+    """A CSR snapshot inside a worker payload: snapshot-file or pickle handoff.
 
     Master side this wraps the frozen :class:`~repro.graphs.csr.CSRGraph`.
     Pickling it (which only happens when a pool actually ships the payload
     to processes — ``spawn``/``forkserver`` initargs; ``fork`` pools inherit
-    the object as-is and the serial path never pickles) picks the cheapest
-    faithful handoff:
+    the object as-is and the serial path never pickles) ships one of:
 
-    1. **Snapshot file.**  When the snapshot is backed by an on-disk file
-       (``csr.source_path``, set by :mod:`repro.graphs.store`) that still
-       exists, and the ``mmap`` knob resolves to mapping, the payload is
-       just the path plus a header — the file *is* the shared block, and
-       each worker attaches read-only ``np.memmap`` views directly.
-       Nothing is exported, so there is nothing to release.
-    2. **Shared-memory blocks.**  Otherwise the
-       ``indptr``/``indices`` (plus ``weights`` when present) arrays are
-       exported into ``multiprocessing.shared_memory`` blocks *once* and a
-       handle is shipped; unpickling in a worker attaches zero-copy views.
-    3. **Pickle fallback.**  If block allocation fails (e.g. ``/dev/shm``
-       exhausted) the payload degrades to shipping the arrays by value —
-       the classic pickle payload.
+    1. **Snapshot file.**  The path plus a header; each worker attaches the
+       file (:func:`_attach_snapshot_file`).  A snapshot backed by a live
+       file (``csr.source_path``, set by :mod:`repro.graphs.store`) ships
+       that file.  Otherwise the first pickle spills the snapshot to a
+       temporary file (:attr:`spill_path`), which this payload owns until
+       :meth:`release`; later pickles reuse it.
+    2. **Pickle fallback.**  The arrays by value, when numpy is missing,
+       when a node label is not an int or str, or when the spill write
+       raises ``OSError``.  The reason is logged once, at INFO.
 
-    All three forms hand workers byte-identical arrays, so results never
-    depend on the transport.  The blocks live until :meth:`release`, which
-    the owning :class:`WorkerPool` calls from both its clean and its
-    exception shutdown paths.
+    Both forms hand workers byte-identical arrays, so results never depend
+    on the transport.
     """
 
-    __slots__ = ("csr", "_blocks", "_handle", "_failed")
+    __slots__ = ("csr", "spill_path", "_handle")
 
     def __init__(self, csr) -> None:
         self.csr = csr
-        self._blocks: List[object] = []
+        #: The temporary snapshot file this payload spilled and owns.
+        self.spill_path: Optional[str] = None
         self._handle: Optional[Tuple] = None
-        self._failed = False
-
-    # ------------------------------------------------------------------
-    def _labels_arg(self):
-        return None if self.csr.identity_labels else self.csr.labels
-
-    def block_names(self) -> List[str]:
-        """Names of the live shared-memory blocks (empty before export)."""
-        return [block.name for block in self._blocks]
-
-    def _snapshot_file_args(self) -> Optional[Tuple]:
-        """The ``_attach_snapshot_file`` args, or ``None`` when ineligible.
-
-        Eligible means: the snapshot is backed by an on-disk file that
-        still exists and the ``mmap`` knob resolves to mapping (numpy
-        importable, mode not ``off``).  With ``mmap=off`` the shared-
-        memory export keeps the pre-snapshot behaviour byte-for-byte.
-        """
-        path = getattr(self.csr, "source_path", None)
-        if path is None:
-            return None
-        from repro.graphs.store import effective_mmap
-
-        if not effective_mmap() or not os.path.exists(path):
-            return None
-        return (
-            path,
-            self.csr.n,
-            len(self.csr.indices),
-            self.csr.weights is not None,
-        )
 
     def __reduce__(self):
-        if not self._failed and self._handle is None:
-            file_args = self._snapshot_file_args()
-            if file_args is not None:
-                self._handle = (_attach_snapshot_file, file_args)
-        if not self._failed and self._handle is None:
+        if self._handle is None:
+            self._handle = self._make_handle()
+        return self._handle
+
+    def _make_handle(self) -> Tuple:
+        from repro.graphs.csr import HAS_NUMPY
+
+        csr = self.csr
+        reason = None
+        path = csr.source_path
+        if not HAS_NUMPY:
+            reason = "numpy is not importable"
+        elif path is None or not os.path.exists(path):
             try:
-                indptr_name, indptr_block = _export_array(self.csr.indptr)
-                self._blocks.append(indptr_block)
-                indices_name, indices_block = _export_array(self.csr.indices)
-                self._blocks.append(indices_block)
-                weights_name = None
-                if self.csr.weights is not None:
-                    weights_name, weights_block = _export_array(self.csr.weights)
-                    self._blocks.append(weights_block)
-                self._handle = (
-                    _attach_shared_csr,
-                    (
-                        indptr_name,
-                        indices_name,
-                        weights_name,
-                        self.csr.n,
-                        len(self.csr.indices),
-                        self._labels_arg(),
-                    ),
-                )
-            except OSError:
-                # Block allocation failed: release anything half-created and
-                # fall back to the pickle payload for this and later dumps.
-                self.release()
-                self._failed = True
-        if self._handle is not None:
-            return self._handle
-        return (
-            _rebuild_csr,
-            (self.csr.indptr, self.csr.indices, self._labels_arg(),
-             self.csr.weights),
-        )
+                path = self.spill_path = _spill(csr)
+            except GraphError as error:
+                reason = str(error)
+            except OSError as error:
+                reason = f"spilling the snapshot failed: {error}"
+        if reason is None:
+            return (
+                _attach_snapshot_file,
+                (path, csr.n, len(csr.indices), csr.weights is not None),
+            )
+        _LOG.info("worker payload falls back to pickling the graph: %s", reason)
+        labels = None if csr.identity_labels else csr.labels
+        return (_rebuild_csr, (csr.indptr, csr.indices, labels, csr.weights))
 
     def release(self) -> None:
-        """Close and unlink the exported blocks (idempotent, exception-safe)."""
-        blocks, self._blocks = self._blocks, []
+        """Unlink the spilled snapshot file, if any (idempotent)."""
+        path, self.spill_path = self.spill_path, None
         self._handle = None
-        for block in blocks:
+        if path is not None:
             try:
-                block.close()
-                block.unlink()
+                os.unlink(path)
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
-            finally:
-                _active_shared_blocks.discard(block.name)
 
 
 def shareable_graph(graph, backend: Optional[str] = None):
-    """Wrap ``graph`` for zero-copy payload handoff when the path applies.
+    """Wrap ``graph`` for the snapshot-file handoff when it runs on CSR.
 
     Returns a :class:`SharedCSRPayload` around the (cached) CSR snapshot
-    when the resolved ``backend`` is CSR and the shared-memory handoff is
-    enabled and available; otherwise returns ``graph`` unchanged — the
-    pickle payload.  Chunk tasks recover the graph (or snapshot) with
-    :func:`resolve_payload_graph`, so the same task code serves both paths.
+    when the resolved ``backend`` is CSR; otherwise returns ``graph``
+    unchanged — the pickle payload.  Chunk tasks recover the graph (or
+    snapshot) with :func:`resolve_payload_graph`, so the same task code
+    serves both paths.
     """
     from repro.graphs import csr as _csr
 
-    if (
-        backend == _csr.CSR_BACKEND
-        and shared_memory_enabled()
-        and shared_memory_available()
-    ):
+    if backend == _csr.CSR_BACKEND:
         return SharedCSRPayload(_csr.as_csr(graph))
     return graph
 
@@ -485,9 +362,9 @@ class WorkerPool:
         Shared immutable-by-convention context (a graph, an estimator, ...),
         shipped to each worker process exactly once.  Must be picklable when
         ``workers > 1``.  A :class:`SharedCSRPayload` (or a tuple/list
-        containing one — see :func:`shareable_graph`) rides along zero-copy
-        and has its shared-memory blocks released when the pool shuts down,
-        on the clean and the exception path alike.
+        containing one — see :func:`shareable_graph`) rides along as a
+        snapshot file, and any file it spilled is unlinked when the pool
+        shuts down, on every exit path.
     workers:
         Worker count (``None`` resolves via :func:`resolve_workers`).
         ``<= 1`` executes every chunk in-process — same code path, no
@@ -500,6 +377,11 @@ class WorkerPool:
         with WorkerPool(_chunk_fn, payload=(graph, backend), workers=workers) as pool:
             for part in pool.map(chunks):
                 fold(part)          # chunk order == submission order
+
+    When a worker process dies abruptly the map raises
+    :class:`~repro.errors.ParallelError` naming the first chunk left
+    without a result; the pool is shut down (and its payload released)
+    before the error propagates.
     """
 
     def __init__(
@@ -520,62 +402,93 @@ class WorkerPool:
         chunks = list(chunks)
         if self.workers <= 1 or len(chunks) <= 1:
             return [self.function(self.payload, chunk) for chunk in chunks]
-        return self._ensure_pool().map(_run_chunk, chunks, chunksize=1)
+        return list(self._ordered(chunks))
 
     def imap(self, chunks: Sequence[object]):
         """Lazy :meth:`map`: yield chunk results in chunk order.
 
         Use when per-chunk results are large and folded immediately (e.g.
-        per-source dependency vectors), so only a bounded number of chunks
-        is in flight instead of the whole result list.
+        per-source dependency vectors): each result is handed on as soon
+        as it and every earlier chunk are done.
         """
         chunks = list(chunks)
         if self.workers <= 1 or len(chunks) <= 1:
             return (self.function(self.payload, chunk) for chunk in chunks)
-        return self._ensure_pool().imap(_run_chunk, chunks, chunksize=1)
+        return self._ordered(chunks)
+
+    def _ordered(self, chunks: List[object]):
+        """Submit every chunk now; return a generator of results in order."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = self._ensure_pool()
+        futures = []
+        try:
+            for chunk in chunks:
+                futures.append(pool.submit(_run_chunk, chunk))
+        except BrokenProcessPool as error:
+            raise self._worker_died(chunks, len(futures)) from error
+
+        def results():
+            for index in range(len(futures)):
+                # Drop each future once its turn comes, so a folded result
+                # is not kept alive until the whole map has finished.
+                future, futures[index] = futures[index], None
+                try:
+                    yield future.result()
+                except BrokenProcessPool as error:
+                    raise self._worker_died(chunks, index) from error
+
+        return results()
+
+    def _worker_died(self, chunks: List[object], index: int) -> ParallelError:
+        self.terminate()
+        return ParallelError(
+            f"a worker process died abruptly: chunk {index} of {len(chunks)} "
+            f"({reprlib.repr(chunks[index])}) got no result"
+        )
 
     def _ensure_pool(self):
         if self._pool is None:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-            context = multiprocessing.get_context(start_method())
-            self._pool = context.Pool(
-                processes=self.workers,
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context(start_method()),
                 initializer=_initialize_worker,
                 initargs=(self.function, self.payload),
             )
         return self._pool
 
     def close(self) -> None:
-        """Shut the pool down cleanly, letting in-flight chunks finish.
+        """Shut the pool down cleanly, letting every submitted chunk finish.
 
-        Uses ``Pool.close()`` + ``join()``: a hard ``terminate()`` here
-        could kill workers mid-``imap`` and silently drop chunk results a
-        caller is still iterating over.  Idempotent; releases any
-        shared-memory payload blocks.
+        A caller may still be iterating :meth:`imap` results, so nothing is
+        cancelled.  Idempotent; releases the payload's spilled file.
         """
-        self._shutdown(force=False)
+        self._shutdown(cancel=False)
 
     def terminate(self) -> None:
-        """Hard-stop the pool without draining in-flight chunks.
+        """Hard-stop the pool: kill the workers and cancel every chunk.
 
         Reserved for the exception path (``__exit__`` routes here when the
-        ``with`` body raised): results are being abandoned anyway, so
-        waiting for outstanding chunks would only delay the unwind.
-        Shared-memory payload blocks are still released.
+        ``with`` body raised): results are being abandoned anyway, so a
+        long chunk already running must not delay the error.  The
+        payload's spilled file is still released.
         """
-        self._shutdown(force=True)
+        self._shutdown(cancel=True)
 
-    def _shutdown(self, *, force: bool) -> None:
+    def _shutdown(self, *, cancel: bool) -> None:
+        pool, self._pool = self._pool, None
         try:
-            if self._pool is not None:
-                if force:
-                    self._pool.terminate()
-                else:
-                    self._pool.close()
-                self._pool.join()
+            if pool is not None:
+                if cancel:
+                    # The executor has no public hard stop: chunks already
+                    # queued to a worker would otherwise run to completion.
+                    for process in list((pool._processes or {}).values()):
+                        process.terminate()
+                pool.shutdown(wait=True, cancel_futures=cancel)
         finally:
-            self._pool = None
             self._release_payload()
 
     def _release_payload(self) -> None:

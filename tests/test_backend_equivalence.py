@@ -942,84 +942,106 @@ class TestDAGCacheEquivalence:
         assert first.closeness == second.closeness
 
 
-class TestSharedMemoryEquivalence:
-    """The zero-copy shared-memory CSR handoff never changes results: with
-    the handoff on, `workers > 1` runs (under `spawn`, which actually ships
-    payloads through pickling and therefore exports blocks) are bit-identical
-    to pickle-payload runs, to the serial path, and to the dict reference —
-    and every exported block is unlinked when the pools shut down."""
+class _Handoff:
+    """Spawn-pool handoff control: spills go to a per-test directory and
+    are counted; :meth:`force_pickle` makes every later spill fail, so
+    payloads take the pickle fallback."""
 
-    pytestmark = pytest.mark.skipif(
-        not __import__("repro.parallel", fromlist=["x"]).shared_memory_available(),
-        reason="numpy/shared_memory unavailable",
-    )
+    def __init__(self, monkeypatch, spill_dir) -> None:
+        from repro import parallel
+
+        self._monkeypatch = monkeypatch
+        self.spill_dir = spill_dir
+        self.spills = 0
+        real_spill = parallel._spill
+
+        def counting_spill(csr):
+            path = real_spill(csr)
+            self.spills += 1
+            return path
+
+        monkeypatch.setattr(parallel, "_spill_dir", lambda: str(spill_dir))
+        monkeypatch.setattr(parallel, "_spill", counting_spill)
+        # spawn so payloads are actually pickled (fork inherits memory and
+        # would exercise the in-process resolution only).
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+
+    def force_pickle(self) -> None:
+        from repro import parallel
+
+        def refuse(csr):
+            raise OSError("spill refused: forcing the pickle payload")
+
+        self._monkeypatch.setattr(parallel, "_spill", refuse)
+
+    def assert_spilled_and_cleaned(self) -> None:
+        """The spawn pools spilled (numpy installs) and left no file."""
+        assert self.spills >= (1 if csr_module.HAS_NUMPY else 0)
+        assert list(self.spill_dir.iterdir()) == []
+
+
+@pytest.fixture()
+def handoff(monkeypatch, tmp_path):
+    return _Handoff(monkeypatch, tmp_path)
+
+
+class TestSnapshotHandoffEquivalence:
+    """The snapshot-file CSR handoff never changes results: `workers > 1`
+    runs under `spawn` (which actually ships payloads through pickling, so
+    snapshots are spilled to files) are bit-identical to pickle-payload
+    runs, to the serial path, and to the dict reference — and every
+    spilled file is unlinked when the pools shut down."""
 
     @pytest.fixture(scope="class")
     def social(self):
         return barabasi_albert_graph(300, 3, seed=6)
 
-    @pytest.fixture()
-    def shm_toggle(self, monkeypatch):
-        from repro.parallel import set_shared_memory_enabled
-
-        # spawn so payloads are actually pickled (fork inherits memory and
-        # would exercise the in-process resolution only).
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        yield set_shared_memory_enabled
-        set_shared_memory_enabled(None)
-
-    def _no_leaked_blocks(self):
-        from repro import parallel
-
-        assert parallel._active_shared_blocks == set()
-
-    def test_exact_brandes_shared_vs_pickle_vs_serial(self, social, shm_toggle):
+    def test_exact_brandes_spilled_vs_pickle_vs_serial(self, social, handoff):
         reference = betweenness_centrality(social, backend="dict")
         serial = betweenness_centrality(social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = betweenness_centrality(social, backend="csr", workers=2)
-        shm_toggle(False)
+        spilled = betweenness_centrality(social, backend="csr", workers=2)
+        handoff.force_pickle()
         pickled = betweenness_centrality(social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        assert spilled == pickled == serial == reference
+        handoff.assert_spilled_and_cleaned()
 
-    def test_closeness_shared_vs_pickle_vs_serial(self, social, shm_toggle):
+    def test_closeness_spilled_vs_pickle_vs_serial(self, social, handoff):
         reference = closeness_centrality(social, backend="dict")
         serial = closeness_centrality(social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = closeness_centrality(social, backend="csr", workers=2)
-        shm_toggle(False)
+        spilled = closeness_centrality(social, backend="csr", workers=2)
+        handoff.force_pickle()
         pickled = closeness_centrality(social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        assert spilled == pickled == serial == reference
+        handoff.assert_spilled_and_cleaned()
 
-    def test_samplers_shared_vs_pickle_vs_serial(self, social, shm_toggle):
-        for cls, cap in (
-            (RiondatoKornaropoulos, 120),
-            (KADABRA, 120),
-            (ABRA, 80),
-        ):
-            def run(workers):
-                return cls(
-                    0.1, 0.1, seed=7, max_samples_cap=cap,
-                    backend="csr", workers=workers,
-                ).estimate(social)
+    def test_samplers_spilled_vs_pickle_vs_serial(self, social, handoff):
+        runs = {}
+        for mode in ("spilled", "pickled"):
+            if mode == "pickled":
+                handoff.force_pickle()
+            for cls, cap in (
+                (RiondatoKornaropoulos, 120),
+                (KADABRA, 120),
+                (ABRA, 80),
+            ):
+                for workers in (0, 2):
+                    runs[mode, cls.__name__, workers] = cls(
+                        0.1, 0.1, seed=7, max_samples_cap=cap,
+                        backend="csr", workers=workers,
+                    ).estimate(social)
+        for name in ("RiondatoKornaropoulos", "KADABRA", "ABRA"):
+            serial = runs["spilled", name, 0]
+            spilled = runs["spilled", name, 2]
+            pickled = runs["pickled", name, 2]
+            assert spilled.scores == pickled.scores == serial.scores
+            assert spilled.num_samples == pickled.num_samples == serial.num_samples
+        handoff.assert_spilled_and_cleaned()
 
-            serial = run(0)
-            shm_toggle(True)
-            shared = run(2)
-            shm_toggle(False)
-            pickled = run(2)
-            assert shared.scores == pickled.scores == serial.scores
-            assert shared.num_samples == pickled.num_samples == serial.num_samples
-        self._no_leaked_blocks()
-
-    def test_blocks_unlinked_after_exception_mid_sweep(self, social, shm_toggle):
+    def test_spill_unlinked_after_exception_mid_sweep(self, social, handoff):
         from repro import parallel
         from repro.engine.driver import sweep_sources
         from repro.centrality.closeness import _distance_stats_chunk
 
-        shm_toggle(True)
         payload = parallel.shareable_graph(social, "csr")
         assert isinstance(payload, parallel.SharedCSRPayload)
         seen = {"chunks": 0}
@@ -1037,8 +1059,66 @@ class TestSharedMemoryEquivalence:
                 workers=2,
             )
         assert seen["chunks"] == 1
-        assert payload.block_names() == []
-        self._no_leaked_blocks()
+        assert payload.spill_path is None
+        handoff.assert_spilled_and_cleaned()
+
+    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="numpy unavailable")
+    def test_unsaved_relabelled_snapshot_ships_as_a_small_file(self, handoff):
+        import pickle
+
+        from repro import parallel
+
+        base = barabasi_albert_graph(200, 3, seed=4)
+        graph = Graph.from_edges(
+            (10_000 - 3 * u, 10_000 - 3 * v) for u, v in base.edges()
+        )
+        snapshot = csr_module.as_csr(graph)
+        assert snapshot.source_path is None and not snapshot.identity_labels
+        payload = parallel.shareable_graph(graph, "csr")
+        try:
+            blob = pickle.dumps(payload)
+            assert len(blob) < 512
+            attached = pickle.loads(blob)
+            assert attached.labels == snapshot.labels
+            assert attached.indptr.tobytes() == snapshot.indptr.tobytes()
+            assert attached.indices.tobytes() == snapshot.indices.tobytes()
+            assert snapshot.source_path is None  # the spill did not arm it
+        finally:
+            payload.release()
+        serial = betweenness_centrality(graph, backend="csr", workers=0)
+        spilled = betweenness_centrality(graph, backend="csr", workers=2)
+        assert spilled == serial == betweenness_centrality(graph, backend="dict")
+        handoff.assert_spilled_and_cleaned()
+
+    def test_tuple_labels_fall_back_to_pickle(self, handoff, caplog):
+        import logging
+
+        base = barabasi_albert_graph(120, 3, seed=5)
+        graph = Graph.from_edges(((u, "a"), (v, "a")) for u, v in base.edges())
+        reference = betweenness_centrality(graph, backend="dict")
+        serial = betweenness_centrality(graph, backend="csr", workers=0)
+
+        def sample(workers):
+            return KADABRA(
+                0.1, 0.1, seed=3, max_samples_cap=200, backend="csr",
+                workers=workers,
+            ).estimate(graph)
+
+        with caplog.at_level(logging.INFO, logger="repro.parallel"):
+            pooled = betweenness_centrality(graph, backend="csr", workers=2)
+            sampled = sample(2)
+        assert pooled == serial == reference
+        # Logging the fallback moves no RNG draw: sampled scores agree.
+        assert sampled.scores == sample(0).scores
+        reasons = [
+            record.getMessage() for record in caplog.records
+            if record.name == "repro.parallel"
+        ]
+        assert len(reasons) == 2  # one per pool
+        expected = "not an int or str" if csr_module.HAS_NUMPY else "numpy"
+        assert all(expected in reason for reason in reasons)
+        assert handoff.spills == 0
+        assert list(handoff.spill_dir.iterdir()) == []
 
 
 class TestSubgraphDeterminism:
@@ -1369,92 +1449,73 @@ class TestUnitWeightAB:
         ) == closeness_centrality(unit_social, backend="csr", weighted="off")
 
 
-class TestWeightedSharedMemory:
-    """The weighted CSR snapshot (three blocks: indptr, indices, weights)
-    rides the zero-copy handoff with bit-identical results and no leaks."""
-
-    pytestmark = pytest.mark.skipif(
-        not __import__("repro.parallel", fromlist=["x"]).shared_memory_available(),
-        reason="numpy/shared_memory unavailable",
-    )
+class TestWeightedSnapshotHandoff:
+    """The weighted CSR snapshot (indptr, indices and weights in one file)
+    rides the snapshot-file handoff with bit-identical results and no
+    leftover spill files."""
 
     @pytest.fixture(scope="class")
     def weighted_social(self):
         return weighted_barabasi_albert_graph(200, 3, seed=6)
 
-    @pytest.fixture()
-    def shm_toggle(self, monkeypatch):
-        from repro.parallel import set_shared_memory_enabled
-
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        yield set_shared_memory_enabled
-        set_shared_memory_enabled(None)
-
-    def _no_leaked_blocks(self):
-        from repro import parallel
-
-        assert parallel._active_shared_blocks == set()
-
-    def test_payload_roundtrip_carries_weights(self, weighted_social, shm_toggle):
+    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="numpy unavailable")
+    def test_payload_roundtrip_carries_weights(self, weighted_social, handoff):
         import pickle
 
         from repro import parallel
-        from repro.graphs import csr as csr_module
 
-        shm_toggle(True)
         payload = parallel.shareable_graph(weighted_social, "csr")
         assert isinstance(payload, parallel.SharedCSRPayload)
         try:
             snapshot = pickle.loads(pickle.dumps(payload))
-            assert len(payload.block_names()) == 3  # indptr, indices, weights
+            assert payload.spill_path is not None
             assert snapshot.is_weighted
             original = csr_module.as_csr(weighted_social)
-            assert list(snapshot.weights) == list(original.weights)
-            assert list(snapshot.indices) == list(original.indices)
+            assert snapshot.weights.tobytes() == original.weights.tobytes()
+            assert snapshot.indices.tobytes() == original.indices.tobytes()
         finally:
             payload.release()
-        self._no_leaked_blocks()
+        handoff.assert_spilled_and_cleaned()
 
-    def test_weighted_brandes_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
+    def test_weighted_brandes_spilled_vs_pickle_vs_serial(
+        self, weighted_social, handoff
     ):
         reference = betweenness_centrality(weighted_social, backend="dict")
         serial = betweenness_centrality(weighted_social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = betweenness_centrality(weighted_social, backend="csr", workers=2)
-        shm_toggle(False)
+        spilled = betweenness_centrality(weighted_social, backend="csr", workers=2)
+        handoff.force_pickle()
         pickled = betweenness_centrality(weighted_social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        assert spilled == pickled == serial == reference
+        handoff.assert_spilled_and_cleaned()
 
-    def test_weighted_closeness_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
+    def test_weighted_closeness_spilled_vs_pickle_vs_serial(
+        self, weighted_social, handoff
     ):
         reference = closeness_centrality(weighted_social, backend="dict")
         serial = closeness_centrality(weighted_social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = closeness_centrality(weighted_social, backend="csr", workers=2)
-        shm_toggle(False)
+        spilled = closeness_centrality(weighted_social, backend="csr", workers=2)
+        handoff.force_pickle()
         pickled = closeness_centrality(weighted_social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        assert spilled == pickled == serial == reference
+        handoff.assert_spilled_and_cleaned()
 
-    def test_weighted_sampler_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
+    def test_weighted_sampler_spilled_vs_pickle_vs_serial(
+        self, weighted_social, handoff
     ):
+        # epsilon 0.1 draws 200 samples (four chunks), so workers=2 really
+        # runs a pool; at 0.3 the 30 samples fit one chunk and ran serially.
         def run(workers):
             return RiondatoKornaropoulos(
-                0.3, 0.1, seed=23, backend="csr", workers=workers,
+                0.1, 0.1, seed=23, backend="csr", workers=workers,
                 max_samples_cap=200,
             ).estimate(weighted_social)
 
         serial = run(0)
-        shm_toggle(True)
-        shared = run(2)
-        shm_toggle(False)
+        spilled = run(2)
+        handoff.force_pickle()
         pickled = run(2)
-        assert shared.scores == pickled.scores == serial.scores
-        self._no_leaked_blocks()
+        assert spilled.scores == pickled.scores == serial.scores
+        handoff.assert_spilled_and_cleaned()
 
 
 class TestWeightedPathCounts:
@@ -1590,7 +1651,7 @@ class TestSSSPKernelEquivalence:
     Delta-stepping settles distances by bucket-ordered label correction,
     then re-pins Dijkstra's settle order / predecessor order / sigma from
     the final distances, so every output (including sampled paths and
-    worker/shared-memory runs) must be bit-identical across kernels and
+    worker/spilled-snapshot runs) must be bit-identical across kernels and
     against the dict oracle.  Integer weights make equal-length shortest
     paths (and settle-order ties) common, exercising the tie-break
     reconstruction rather than the easy unique-path case.
@@ -1689,24 +1750,15 @@ class TestSSSPKernelEquivalence:
             )
         assert scores["dijkstra"] == scores["delta"] == reference
 
-    def test_shared_memory_on_off_bitwise_delta(self, kernel_toggle, monkeypatch):
-        from repro import parallel
-
-        if not parallel.shared_memory_available():
-            pytest.skip("numpy/shared_memory unavailable")
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+    def test_spilled_vs_pickle_bitwise_delta(self, kernel_toggle, handoff):
         graph = weighted_barabasi_albert_graph(150, 3, seed=6)
         reference = betweenness_centrality(graph, backend="dict")
         kernel_toggle("delta")
-        try:
-            parallel.set_shared_memory_enabled(True)
-            shared = betweenness_centrality(graph, backend="csr", workers=2)
-            parallel.set_shared_memory_enabled(False)
-            pickled = betweenness_centrality(graph, backend="csr", workers=2)
-        finally:
-            parallel.set_shared_memory_enabled(None)
-        assert shared == pickled == reference
-        assert parallel._active_shared_blocks == set()
+        spilled = betweenness_centrality(graph, backend="csr", workers=2)
+        handoff.force_pickle()
+        pickled = betweenness_centrality(graph, backend="csr", workers=2)
+        assert spilled == pickled == reference
+        handoff.assert_spilled_and_cleaned()
 
     def test_sampler_identical_across_kernels(self, kernel_toggle):
         graph = weighted_barabasi_albert_graph(150, 3, seed=9)

@@ -24,26 +24,6 @@ class TestParser:
 
 
 class TestProcessKnobFlags:
-    def test_shared_memory_flag_applies_override(self, capsys, monkeypatch):
-        from repro import parallel
-
-        # Pin the environment: with REPRO_SHARED_MEMORY exported (e.g. the
-        # README's env-wide workflow) the post-restore default would be the
-        # exported value, not the built-in on.
-        monkeypatch.delenv(parallel.SHARED_MEMORY_ENV_VAR, raising=False)
-        try:
-            code = main(
-                ["rank", "--dataset", "karate", "--subset-size", "6",
-                 "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--shared-memory", "off"]
-            )
-            assert code == 0
-            assert parallel.shared_memory_enabled() is False
-            assert "rank | node" in capsys.readouterr().out
-        finally:
-            parallel.set_shared_memory_enabled(None)
-        assert parallel.shared_memory_enabled() is True
-
     def test_workers_flag_mirrors_environment(self, capsys, monkeypatch):
         import os
 

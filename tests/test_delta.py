@@ -182,7 +182,7 @@ class TestKnobProtocol:
         assert deltas_between(graph, graph._version - 1) is None
 
     def test_track_tolerates_frozen_snapshots(self):
-        # Bare CSR payloads (shared-memory workers) have no journal slot;
+        # Bare CSR payloads (attached in workers) have no journal slot;
         # they never mutate, so tracking is a polite no-op.
         snapshot = CSRGraph.from_graph(path_graph(3))
         assert delta_module.track(snapshot) is None

@@ -71,7 +71,6 @@ class TestConfig:
             "dag_cache",
             "dag_cache_size",
             "dag_cache_budget",
-            "shared_memory",
             "weighted",
             "sssp_kernel",
             "compiled",

@@ -160,5 +160,5 @@ def test_readme_knob_reference_lists_every_row():
             assert spelling in section, spelling
 
 
-def test_table_has_the_fourteen_knobs():
-    assert len(KNOBS) == len(set(KNOB_IDS)) == 14
+def test_table_has_the_thirteen_knobs():
+    assert len(KNOBS) == len(set(KNOB_IDS)) == 13

@@ -5,23 +5,47 @@ end-to-end in ``test_backend_equivalence.py``; this module covers the
 executor primitives themselves: worker-count resolution, chunk planning,
 per-chunk RNG streams, ordered (i)map over in-process and process-pool
 execution, pool-lifecycle semantics (clean close vs exception terminate),
-and the shared-memory CSR handoff.
+worker death, and the snapshot-file CSR handoff.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import gc
+import logging
 import os
 import pickle
+import time
+import weakref
 
 import pytest
 
 from repro import parallel
+from repro.errors import ParallelError
+from repro.graphs import csr as csr_module
+from repro.graphs.csr import HAS_NUMPY
 from repro.graphs.graph import Graph
 
 
 def _square_chunk(payload, chunk):
     offset = payload or 0
     return [offset + value * value for value in chunk]
+
+
+def _sleep_chunk(payload, seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+class _Box:
+    """A chunk result that supports weak references."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _box_chunk(payload, chunk):
+    return _Box(chunk)
 
 
 def _piece_echo(payload, piece):
@@ -31,7 +55,7 @@ def _piece_echo(payload, piece):
 
 
 def _snapshot_degree_chunk(payload, chunk):
-    """Chunk task resolving a (possibly shared-memory) graph payload."""
+    """Chunk task resolving a (possibly snapshot-file) graph payload."""
     from repro.graphs import csr as csr_module
 
     graph = parallel.resolve_payload_graph(payload[0])
@@ -257,39 +281,27 @@ class TestEagerEnvValidation:
         with pytest.raises(ValueError, match=parallel.START_METHOD_ENV_VAR):
             parallel.resolve_workers(0)
 
-    def test_invalid_shared_memory_env_fails_resolve_workers(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.resolve_workers(0)
-
 
 class _RecordingPool:
-    """Proxy around a real multiprocessing pool that records shutdown calls."""
+    """Proxy around a real process-pool executor that records its shutdown."""
 
     def __init__(self, real):
         self._real = real
         self.calls = []
 
-    def close(self):
-        self.calls.append("close")
-        self._real.close()
-
-    def terminate(self):
-        self.calls.append("terminate")
-        self._real.terminate()
-
-    def join(self):
-        self.calls.append("join")
-        self._real.join()
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.calls.append(("shutdown", wait, cancel_futures))
+        self._real.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def __getattr__(self, name):
         return getattr(self._real, name)
 
 
 class TestPoolLifecycle:
-    """Clean shutdown drains in-flight chunks (close + join); terminate is
-    reserved for the exception path — a hard terminate on the clean path
-    could kill workers mid-``imap`` and drop chunk results."""
+    """Clean shutdown waits for every submitted chunk; killing workers and
+    cancelling chunks is reserved for the exception path — doing that on
+    the clean path could drop chunk results a caller is still pulling
+    from ``imap``."""
 
     def test_clean_close_uses_close_then_join(self):
         pool = parallel.WorkerPool(_square_chunk, payload=0, workers=2)
@@ -297,7 +309,7 @@ class TestPoolLifecycle:
         recorder = _RecordingPool(pool._pool)
         pool._pool = recorder
         pool.close()
-        assert recorder.calls == ["close", "join"]
+        assert recorder.calls == [("shutdown", True, False)]
         assert pool._pool is None
 
     def test_exception_path_terminates(self):
@@ -308,7 +320,27 @@ class TestPoolLifecycle:
                 recorder = _RecordingPool(pool._pool)
                 pool._pool = recorder
                 raise RuntimeError("boom")
-        assert recorder.calls == ["terminate", "join"]
+        assert recorder.calls == [("shutdown", True, True)]
+
+    def test_exception_path_does_not_wait_for_running_chunks(self, watchdog):
+        # Chunks already queued to a worker are killed, not run to the end.
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="boom"):
+            with parallel.WorkerPool(_sleep_chunk, payload=0, workers=2) as pool:
+                for _ in pool.imap([0, 30, 30, 30]):
+                    raise RuntimeError("boom")
+        assert time.monotonic() - start < 20
+
+    def test_imap_does_not_retain_consumed_results(self):
+        # A folded per-chunk partial must be freed while the map goes on,
+        # or peak memory grows with the chunk count.
+        with parallel.WorkerPool(_box_chunk, payload=0, workers=2) as pool:
+            results = pool.imap([0, 1, 2, 3])
+            first = weakref.ref(next(results))
+            assert next(results).value == 1
+            gc.collect()
+            assert first() is None
+            assert [box.value for box in results] == [2, 3]
 
     def test_imap_results_survive_clean_exit(self):
         # Results pulled from imap must all arrive before the pool dies.
@@ -318,144 +350,131 @@ class TestPoolLifecycle:
         assert results == [[value * value] for value in range(12)]
 
 
-_SHM_AVAILABLE = parallel.shared_memory_available()
-
-shm = pytest.mark.skipif(
-    not _SHM_AVAILABLE, reason="numpy/shared_memory unavailable"
-)
+needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
 
 
-def _ladder_graph(n: int = 12) -> Graph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges += [(i, i + 2) for i in range(n - 2)]
+def _ladder_graph(n: int = 12, label=lambda i: i) -> Graph:
+    edges = [(label(i), label(i + 1)) for i in range(n - 1)]
+    edges += [(label(i), label(i + 2)) for i in range(n - 2)]
     return Graph.from_edges(edges)
 
 
-def _attach_raises(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        block = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    block.close()
-    return False
+def _relabelled_ladder(n: int = 40) -> Graph:
+    """A ladder whose int labels are not ``0..n-1`` (labels ship in the file)."""
+    return _ladder_graph(n, label=lambda i: 1000 - 7 * i)
 
 
-class TestSharedMemoryKnob:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        yield
-        parallel.set_shared_memory_enabled(None)
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(parallel.SHARED_MEMORY_ENV_VAR, raising=False)
-        assert parallel.shared_memory_enabled() is True
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "off")
-        assert parallel.shared_memory_enabled() is False
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "on")
-        assert parallel.shared_memory_enabled() is True
-
-    def test_env_variable_invalid(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.shared_memory_enabled()
-
-    def test_env_variable_invalid_rejected_eagerly(self, monkeypatch):
-        # Mirrors the eager REPRO_BACKEND validation: a typo'd variable
-        # fails at executor-configuration time, naming the variable, not
-        # mid-sweep from deep inside a centrality call.
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.resolve_workers(2)
-
-    def test_override_mirrors_and_restores(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "on")
-        parallel.set_shared_memory_enabled(False)
-        assert os.environ[parallel.SHARED_MEMORY_ENV_VAR] == "0"
-        assert parallel.shared_memory_enabled() is False
-        parallel.set_shared_memory_enabled(None)
-        assert os.environ[parallel.SHARED_MEMORY_ENV_VAR] == "on"
-        assert parallel.shared_memory_enabled() is True
+def _snapshot_bytes(snapshot) -> bytes:
+    return bytes(snapshot.indptr) + bytes(snapshot.indices)
 
 
-@shm
+@pytest.fixture()
+def spill_dir(tmp_path, monkeypatch):
+    """Redirect payload spills into a per-test directory and return it."""
+    monkeypatch.setattr(parallel, "_spill_dir", lambda: str(tmp_path))
+    return tmp_path
+
+
+def _fallback_records(caplog):
+    return [
+        record for record in caplog.records
+        if record.name == "repro.parallel" and "falls back" in record.getMessage()
+    ]
+
+
 class TestSharedCSRPayload:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        yield
-        parallel.set_shared_memory_enabled(None)
-
     def test_shareable_graph_wraps_only_csr(self):
         graph = _ladder_graph()
-        parallel.set_shared_memory_enabled(True)
         wrapped = parallel.shareable_graph(graph, "csr")
         assert isinstance(wrapped, parallel.SharedCSRPayload)
         assert parallel.shareable_graph(graph, "dict") is graph
-        parallel.set_shared_memory_enabled(False)
-        assert parallel.shareable_graph(graph, "csr") is graph
 
     def test_resolve_payload_graph(self):
-        from repro.graphs import csr as csr_module
-
         graph = _ladder_graph()
         payload = parallel.SharedCSRPayload(csr_module.as_csr(graph))
         assert parallel.resolve_payload_graph(payload) is csr_module.as_csr(graph)
         assert parallel.resolve_payload_graph(graph) is graph
 
-    def test_pickle_roundtrip_attaches_zero_copy(self):
-        from repro.graphs import csr as csr_module
-
-        graph = _ladder_graph()
+    @needs_numpy
+    def test_pickle_roundtrip_attaches_zero_copy(self, spill_dir):
+        graph = _relabelled_ladder()
         snapshot = csr_module.as_csr(graph)
+        assert not snapshot.identity_labels
         payload = parallel.SharedCSRPayload(snapshot)
         try:
-            attached = pickle.loads(pickle.dumps(payload))
-            names = payload.block_names()
-            assert len(names) == 2
-            assert set(names) <= parallel._active_shared_blocks
-            assert attached.n == snapshot.n
-            assert attached.m == snapshot.m
+            blob = pickle.dumps(payload)
+            path = payload.spill_path
+            assert len(blob) < 512  # path + header, not arrays or labels
+            assert os.path.dirname(path) == str(spill_dir)
+            attached = pickle.loads(blob)
             assert attached.labels == snapshot.labels
-            assert list(attached.indptr) == list(snapshot.indptr)
-            assert list(attached.indices) == list(snapshot.indices)
-            # Pickling again reuses the existing export (one export per pool).
+            assert _snapshot_bytes(attached) == _snapshot_bytes(snapshot)
+            # Spilling leaves the master's cached snapshot unarmed.
+            assert snapshot.source_path is None
+            # Pickling again reuses the spilled file (one spill per pool).
             pickle.dumps(payload)
-            assert payload.block_names() == names
+            assert payload.spill_path == path
+            assert os.listdir(spill_dir) == [os.path.basename(path)]
         finally:
             payload.release()
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
-        assert not parallel._active_shared_blocks & set(names)
+        assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []
 
-    def test_release_is_idempotent(self):
-        from repro.graphs import csr as csr_module
-
+    def test_release_is_idempotent(self, spill_dir):
         payload = parallel.SharedCSRPayload(csr_module.as_csr(_ladder_graph()))
         pickle.dumps(payload)
         payload.release()
         payload.release()
+        assert os.listdir(spill_dir) == []
 
-    def test_export_failure_falls_back_to_pickle(self, monkeypatch):
-        from repro.graphs import csr as csr_module
+    @needs_numpy
+    def test_export_failure_falls_back_to_pickle(self, monkeypatch, caplog, spill_dir):
+        def boom(csr):
+            raise OSError("no space left on device")
 
-        def boom(data):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(parallel, "_export_array", boom)
-        snapshot = csr_module.as_csr(_ladder_graph())
+        monkeypatch.setattr(parallel, "_spill", boom)
+        snapshot = csr_module.as_csr(_relabelled_ladder())
         payload = parallel.SharedCSRPayload(snapshot)
-        attached = pickle.loads(pickle.dumps(payload))
-        assert payload.block_names() == []
+        with caplog.at_level(logging.INFO, logger="repro.parallel"):
+            attached = pickle.loads(pickle.dumps(payload))
+            pickle.dumps(payload)  # the decision, and its record, happen once
+        assert payload.spill_path is None
         assert attached.labels == snapshot.labels
         assert list(attached.indices) == list(snapshot.indices)
+        records = _fallback_records(caplog)
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert "no space left on device" in records[0].getMessage()
+        assert os.listdir(spill_dir) == []
 
-    def test_pool_releases_blocks_on_clean_close(self, monkeypatch):
+    @needs_numpy
+    def test_unstorable_labels_fall_back_and_log(self, caplog, spill_dir):
+        graph = _ladder_graph(label=lambda i: (i, "x"))  # tuple labels
+        snapshot = csr_module.as_csr(graph)
+        payload = parallel.SharedCSRPayload(snapshot)
+        with caplog.at_level(logging.INFO, logger="repro.parallel"):
+            attached = pickle.loads(pickle.dumps(payload))
+        assert attached.labels == snapshot.labels
+        assert list(attached.indices) == list(snapshot.indices)
+        (record,) = _fallback_records(caplog)
+        assert "not an int or str" in record.getMessage()
+        assert os.listdir(spill_dir) == []  # the half-made spill is gone
+
+    def test_no_numpy_falls_back_and_logs(self, monkeypatch, caplog, spill_dir):
+        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
+        snapshot = csr_module.as_csr(_ladder_graph())
+        payload = parallel.SharedCSRPayload(snapshot)
+        with caplog.at_level(logging.INFO, logger="repro.parallel"):
+            attached = pickle.loads(pickle.dumps(payload))
+        assert list(attached.indices) == list(snapshot.indices)
+        (record,) = _fallback_records(caplog)
+        assert "numpy" in record.getMessage()
+        assert os.listdir(spill_dir) == []
+
+    @needs_numpy
+    def test_pool_releases_spill_on_clean_close(self, monkeypatch, spill_dir):
         monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
-        graph = _ladder_graph(40)
-        parallel.set_shared_memory_enabled(True)
+        graph = _relabelled_ladder()
         payload = parallel.shareable_graph(graph, "csr")
         nodes = list(graph.nodes())
         serial = _snapshot_degree_chunk((payload,), nodes)
@@ -463,26 +482,198 @@ class TestSharedCSRPayload:
             _snapshot_degree_chunk, payload=(payload,), workers=2
         ) as pool:
             results = pool.map([nodes[:20], nodes[20:]])
-            names = payload.block_names()
-            assert names  # the spawn pool actually exported blocks
+            assert payload.spill_path  # the spawn pool actually spilled
         assert results[0] + results[1] == serial
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
+        assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []
 
-    def test_pool_releases_blocks_on_exception(self, monkeypatch):
+    @needs_numpy
+    def test_pool_releases_spill_on_exception(self, monkeypatch, spill_dir):
         monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
-        graph = _ladder_graph(40)
-        parallel.set_shared_memory_enabled(True)
+        graph = _relabelled_ladder()
         payload = parallel.shareable_graph(graph, "csr")
         nodes = list(graph.nodes())
-        names = []
         with pytest.raises(RuntimeError, match="boom"):
             with parallel.WorkerPool(
                 _snapshot_degree_chunk, payload=(payload,), workers=2
             ) as pool:
                 pool.map([nodes[:20], nodes[20:]])
-                names.extend(payload.block_names())
-                assert names
+                assert payload.spill_path
                 raise RuntimeError("boom")
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
+        assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []
+
+    def test_fork_and_serial_never_spill(self, monkeypatch, spill_dir):
+        monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "fork")
+        graph = _relabelled_ladder()
+        payload = parallel.shareable_graph(graph, "csr")
+        nodes = list(graph.nodes())
+        for workers in (0, 2):
+            with parallel.WorkerPool(
+                _snapshot_degree_chunk, payload=(payload,), workers=workers
+            ) as pool:
+                pool.map([nodes[:20], nodes[20:]])
+                assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []
+
+
+class TestSpillFile:
+    """Where a payload spills, what a failed spill leaves, and which files
+    a payload owns."""
+
+    def test_spill_dir_prefers_dev_shm(self, monkeypatch):
+        monkeypatch.setattr(parallel.os.path, "isdir", lambda path: path == "/dev/shm")
+        assert parallel._spill_dir() == "/dev/shm"
+
+    def test_spill_dir_falls_back_to_tempdir(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel.os.path, "isdir", lambda path: False)
+        monkeypatch.setattr(parallel.tempfile, "tempdir", str(tmp_path))
+        assert parallel._spill_dir() == str(tmp_path)
+
+    @needs_numpy
+    def test_failed_write_leaves_no_file_and_falls_back(self, monkeypatch, caplog, spill_dir):
+        from repro.graphs import store
+
+        def half_write(csr, handle, *, path):
+            handle.write(b"partial")
+            raise OSError("disk quota exceeded")
+
+        monkeypatch.setattr(store, "write_snapshot", half_write)
+        snapshot = csr_module.as_csr(_relabelled_ladder())
+        payload = parallel.SharedCSRPayload(snapshot)
+        with caplog.at_level(logging.INFO, logger="repro.parallel"):
+            attached = pickle.loads(pickle.dumps(payload))
+        assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []
+        assert attached.labels == snapshot.labels
+        assert list(attached.indices) == list(snapshot.indices)
+        (record,) = _fallback_records(caplog)
+        assert "spilling the snapshot failed" in record.getMessage()
+        assert "disk quota exceeded" in record.getMessage()
+
+    @needs_numpy
+    def test_payload_spills_afresh_after_release(self, spill_dir):
+        # A payload reused by a second pool (after the first released it)
+        # spills a new file instead of shipping the unlinked one.
+        snapshot = csr_module.as_csr(_relabelled_ladder())
+        payload = parallel.SharedCSRPayload(snapshot)
+        try:
+            pickle.dumps(payload)
+            first = payload.spill_path
+            payload.release()
+            assert not os.path.exists(first)
+            attached = pickle.loads(pickle.dumps(payload))
+            assert payload.spill_path is not None
+            assert os.listdir(spill_dir) == [os.path.basename(payload.spill_path)]
+            assert attached.labels == snapshot.labels
+            assert _snapshot_bytes(attached) == _snapshot_bytes(snapshot)
+        finally:
+            payload.release()
+        assert os.listdir(spill_dir) == []
+
+    @needs_numpy
+    def test_weighted_fallback_carries_weights(self, monkeypatch, spill_dir):
+        def refuse(csr):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(parallel, "_spill", refuse)
+        graph = Graph.from_edges(
+            [(1000 - 7 * i, 1000 - 7 * (i + 1), 1 + i % 4) for i in range(30)]
+        )
+        snapshot = csr_module.as_csr(graph)
+        assert snapshot.weights is not None
+        attached = pickle.loads(pickle.dumps(parallel.SharedCSRPayload(snapshot)))
+        assert attached.weights.tobytes() == snapshot.weights.tobytes()
+        assert attached.labels == snapshot.labels
+        assert _snapshot_bytes(attached) == _snapshot_bytes(snapshot)
+        assert os.listdir(spill_dir) == []
+
+    @needs_numpy
+    def test_release_keeps_a_saved_source_file(self, tmp_path_factory, spill_dir):
+        from repro.graphs import store
+
+        graph = _relabelled_ladder()
+        source = store.save_snapshot(graph, tmp_path_factory.mktemp("saved") / "ladder.csr")
+        payload = parallel.shareable_graph(graph, "csr")
+        attached = pickle.loads(pickle.dumps(payload))
+        assert payload.spill_path is None  # the saved file ships as-is
+        payload.release()
+        assert source.exists()  # not the payload's to unlink
+        assert os.listdir(spill_dir) == []
+        assert _snapshot_bytes(attached) == _snapshot_bytes(csr_module.as_csr(graph))
+
+
+# ----------------------------------------------------------------------
+# Worker death
+# ----------------------------------------------------------------------
+def _exit_on_one(payload, chunk):
+    """Chunk task whose worker process dies abruptly on chunk ``1``."""
+    if chunk == 1:
+        os._exit(3)
+    return (payload or 0) + chunk * chunk
+
+
+def _degree_or_exit(payload, chunk):
+    if chunk == "die":
+        os._exit(3)
+    return _snapshot_degree_chunk(payload, chunk)
+
+
+@pytest.fixture()
+def watchdog():
+    """Fail loudly (dump every thread and exit) if a map hangs."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+class TestWorkerDeath:
+    """A worker that dies mid-chunk raises ``ParallelError`` naming a lost
+    chunk; before the fix the map hung forever."""
+
+    def test_map_raises_instead_of_hanging(self, watchdog):
+        pool = parallel.WorkerPool(_exit_on_one, payload=0, workers=2)
+        with pytest.raises(ParallelError, match=r"chunk [01] of 4"):
+            pool.map([0, 1, 2, 3])
+        assert pool._pool is None  # shut down on the way out
+
+    def test_imap_raises_instead_of_hanging(self, watchdog):
+        with pytest.raises(ParallelError, match="worker process died"):
+            with parallel.WorkerPool(_exit_on_one, payload=0, workers=2) as pool:
+                list(pool.imap([0, 1, 2, 3]))
+
+    def test_results_before_the_death_still_come_in_order(self, watchdog):
+        seen = []
+        with parallel.WorkerPool(_exit_on_one, payload=0, workers=2) as pool:
+            with pytest.raises(ParallelError):
+                for result in pool.imap([2, 3, 4, 1, 5]):
+                    seen.append(result)
+        assert seen == [4, 9, 16][: len(seen)]
+
+    def test_error_names_the_lost_chunk(self, watchdog):
+        pool = parallel.WorkerPool(_exit_on_one, payload=0, workers=2)
+        with pytest.raises(ParallelError, match=r"chunk [01] of 2 \(1\) got no result"):
+            pool.map([1, 1])
+
+    def test_pool_recovers_after_a_death(self, watchdog):
+        with parallel.WorkerPool(_exit_on_one, payload=0, workers=2) as pool:
+            with pytest.raises(ParallelError):
+                pool.map([0, 1, 2, 3])
+            assert pool._pool is None
+            # The next map starts a fresh executor instead of reusing the
+            # broken one.
+            assert pool.map([2, 3, 4]) == [4, 9, 16]
+
+    @needs_numpy
+    def test_spawn_death_unlinks_spill(self, watchdog, monkeypatch, spill_dir):
+        monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
+        graph = _relabelled_ladder()
+        payload = parallel.shareable_graph(graph, "csr")
+        nodes = list(graph.nodes())
+        with pytest.raises(ParallelError, match="chunk"):
+            with parallel.WorkerPool(
+                _degree_or_exit, payload=(payload,), workers=2
+            ) as pool:
+                pool.map([nodes[:20], "die", nodes[20:]])
+        assert payload.spill_path is None
+        assert os.listdir(spill_dir) == []

@@ -201,7 +201,7 @@ class TestRoundtrip:
         monkeypatch.setattr(store, "HAS_NUMPY", False)
         with pytest.raises(GraphError, match="mmap='on' requires numpy"):
             load_snapshot(path, mmap="on")
-        # Knob-resolved "on" degrades silently (the shared-memory precedent).
+        # Knob-resolved "on" degrades silently to an in-RAM load.
         monkeypatch.setenv(store.MMAP_ENV_VAR, "on")
         loaded = load_snapshot(path)
         assert isinstance(loaded.indptr, array)
@@ -601,20 +601,19 @@ class TestSnapshotFileHandoff:
     @pytest.fixture(autouse=True)
     def _reset(self):
         yield
-        parallel.set_shared_memory_enabled(None)
         store.set_default_mmap(None)
 
     @needs_numpy
-    def test_payload_ships_path_not_blocks(self, tmp_path):
-        store.set_default_mmap("auto")  # pin: mmap=off legs export shm instead
+    def test_payload_ships_path_not_arrays(self, tmp_path):
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
         payload = parallel.shareable_graph(csr, backend="csr")
         assert isinstance(payload, parallel.SharedCSRPayload)
         blob = pickle.dumps(payload)
         assert len(blob) < 512  # path + header, not the arrays
-        assert payload.block_names() == []  # nothing exported to /dev/shm
-        fn, _args = payload._handle
+        assert payload.spill_path is None  # the store's file ships as-is
+        fn, args = payload._handle
         assert fn is parallel._attach_snapshot_file
+        assert args[0] == csr.source_path
         restored = pickle.loads(blob)
         assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
 
@@ -635,27 +634,33 @@ class TestSnapshotFileHandoff:
             )
 
     @needs_numpy
-    def test_mmap_off_falls_back_to_shm_export(self, tmp_path):
+    def test_mmap_off_still_ships_the_file(self, tmp_path):
+        import numpy as np
+
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
         store.set_default_mmap("off")
         payload = parallel.shareable_graph(csr, backend="csr")
-        try:
-            pickle.dumps(payload)
-            fn, _args = payload._handle
-            assert fn is parallel._attach_shared_csr
-            assert payload.block_names()  # blocks actually exported
-        finally:
-            payload.release()
+        restored = pickle.loads(pickle.dumps(payload))
+        fn, _args = payload._handle
+        assert fn is parallel._attach_snapshot_file
+        assert payload.spill_path is None
+        # mmap=off reads the shipped file into RAM; the bytes are the same.
+        assert not isinstance(restored.indptr, np.memmap)
+        assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
 
     @needs_numpy
-    def test_deleted_file_falls_back_to_shm_export(self, tmp_path):
+    def test_deleted_file_spills_a_fresh_snapshot(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
-        os.unlink(csr.source_path)
+        source = csr.source_path
+        os.unlink(source)
         payload = parallel.shareable_graph(csr, backend="csr")
         try:
-            pickle.dumps(payload)
-            fn, _args = payload._handle
-            assert fn is parallel._attach_shared_csr
+            restored = pickle.loads(pickle.dumps(payload))
+            fn, args = payload._handle
+            assert fn is parallel._attach_snapshot_file
+            assert args[0] == payload.spill_path != source
+            assert csr.source_path == source  # the spill does not re-arm it
+            assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
         finally:
             payload.release()
 

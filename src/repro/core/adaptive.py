@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import parallel as _parallel
@@ -26,38 +27,49 @@ from repro.utils.validation import check_probability_pair
 LossSampler = Callable[[object], Mapping[int, float]]
 
 
-def _losses_chunk(payload, piece: Tuple[int, int]):
-    """Worker task: draw one chunk of loss samples; return partial sums.
+def _losses_chunk(payload, group: Sequence[Tuple[int, int]]):
+    """Worker task: draw a group of consecutive chunks of loss samples;
+    return one partial-sum tuple per chunk, in chunk order.
 
     ``payload`` carries either a problem object exposing ``sample_losses`` (a
     picklable payload, required for ``workers > 1``) or the bare sampler
-    callable (serial in-process execution only).  A problem that also
-    exposes ``sample_losses_batch(rng, draws)`` draws the whole chunk in one
-    call (its own, fixed RNG order).  The chunk draws from its own seeded
-    RNG stream, so partials are identical in any process.
+    callable (serial in-process execution only).  Each chunk draws from its
+    own seeded RNG stream, so a chunk's partial is identical in any process
+    and in any group.  A problem that also exposes
+    ``sample_losses_streams(streams)`` draws the whole group in one call,
+    one ``(rng, draws)`` stream per chunk (Gen_bc then searches the pairs
+    of all the group's chunks in shared stacks); otherwise each chunk is
+    drawn one sample at a time.
     """
     sampler, num_hypotheses, base_seed = payload
-    chunk_index, draws = piece
-    rng = _parallel.chunk_rng(base_seed, chunk_index)
-    batch = getattr(sampler, "sample_losses_batch", None)
-    if batch is not None:
-        samples = batch(rng, draws)
+    streams = [
+        (_parallel.chunk_rng(base_seed, chunk_index), draws)
+        for chunk_index, draws in group
+    ]
+    draw_streams = getattr(sampler, "sample_losses_streams", None)
+    if draw_streams is not None:
+        per_chunk = draw_streams(streams)
     else:
         sample = getattr(sampler, "sample_losses", sampler)
-        samples = (sample(rng) for _ in range(draws))
-    totals = [0.0] * num_hypotheses
-    totals_sq = [0.0] * num_hypotheses
-    for losses in samples:
-        for index, loss in losses.items():
-            totals[index] += loss
-            totals_sq[index] += loss * loss
+        per_chunk = (map(sample, repeat(rng, draws)) for rng, draws in streams)
+    partials = []
+    for (_, draws), samples in zip(streams, per_chunk):
+        totals = [0.0] * num_hypotheses
+        totals_sq = [0.0] * num_hypotheses
+        for losses in samples:
+            for index, loss in losses.items():
+                totals[index] += loss
+                totals_sq[index] += loss * loss
+        partials.append((draws, totals, totals_sq, None))
     # Problems with sampling diagnostics (e.g. Gen_bc rejection counters)
-    # expose collect_sample_stats/merge_sample_stats; snapshotting the
-    # worker-local counters per chunk lets the master fold them back in, so
-    # the reported statistics match serial runs for any worker count.
+    # expose collect_sample_stats/merge_sample_stats; the group's last
+    # partial carries a snapshot of the worker-local counters, so the
+    # master folds them back in and the reported statistics match serial
+    # runs for any worker count or grouping.
     collect = getattr(sampler, "collect_sample_stats", None)
-    stats = collect() if collect is not None else None
-    return draws, totals, totals_sq, stats
+    if collect is not None:
+        partials[-1] = partials[-1][:3] + (collect(),)
+    return partials
 
 
 @dataclass
@@ -263,6 +275,7 @@ class AdaptiveSampler:
             _losses_chunk,
             payload=(sampler, num_hypotheses, base_seed),
             workers=resolved_workers,
+            grouped=True,
         ) as driver:
             # Pilot batch: independent samples used only for variance
             # estimation and the per-hypothesis delta allocation.  The

@@ -9,7 +9,10 @@ These are the two loop bodies everything else composes:
   a pure function of the schedule (continuing chunk indices across batches
   and stages) and partial results are folded in chunk order, so results are
   bit-identical for any worker count — the same contract the estimators
-  implemented by hand before the port.
+  implemented by hand before the port.  Each task receives a *group* of
+  consecutive chunks (see :func:`chunk_groups`) and returns one partial per
+  chunk, so a grouped task can share work across its chunks (Gen_bc
+  stacks their searches) without touching any chunk's RNG stream.
 * :func:`sweep_sources` — the fixed-work analogue: an ordered, chunked fold
   over a source list (exact Brandes, Bader pivots, closeness sweeps, ego
   networks), streaming chunk results through ``WorkerPool.imap`` so large
@@ -19,7 +22,8 @@ Fold contract: a chunk task returns one *chunk-partial* — the reduction of
 its chunk computed in-worker (e.g. exact Brandes returns one summed
 dependency vector per chunk, not one vector per source) — and the master
 folds partials strictly in chunk order.  The serial path (``workers=0``)
-runs the identical chunk tasks in-process, so the float accumulation order
+computes the identical chunk-partials in-process (a task per group of
+chunks rather than per chunk), so the float accumulation order
 is a pure function of the fixed chunk layout and worker counts never change
 results, while the bytes shipped per chunk shrink from O(chunk x n) to
 O(n).  Graph payloads go through :func:`repro.parallel.shareable_graph` so
@@ -30,13 +34,56 @@ memory instead of pickling the adjacency per process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import parallel as _parallel
 from repro.engine.schedule import SampleSchedule
 from repro.engine.stopping import StoppingRule
 
 T = TypeVar("T")
+
+#: Draws per in-process task: consecutive chunks of one batch are grouped
+#: up to this many draws (32 chunks of 64), which bounds the rows a grouped
+#: task holds at once (Gen_bc keeps O(1) MB of pending pairs and search
+#: state).  Worker pools keep one chunk per task, so dispatch and load
+#: balance across processes are as before.  A fixed rule, not a setting:
+#: grouping never changes results.
+_GROUP_DRAWS = 2048
+
+
+def chunk_groups(
+    pieces: Sequence[Tuple[int, int]], workers: int
+) -> List[Tuple[Tuple[int, int], ...]]:
+    """Split one batch's ``(chunk_index, draws)`` pieces into task groups.
+
+    With a worker pool (``workers > 1``) every chunk is its own group;
+    in-process, consecutive chunks are grouped while the group's draws
+    stay within :data:`_GROUP_DRAWS` (a group holds at least one chunk).
+    """
+    groups: List[Tuple[Tuple[int, int], ...]] = []
+    group: List[Tuple[int, int]] = []
+    drawn = 0
+    for piece in pieces:
+        if group and (workers > 1 or drawn + piece[1] > _GROUP_DRAWS):
+            groups.append(tuple(group))
+            group, drawn = [], 0
+        group.append(piece)
+        drawn += piece[1]
+    if group:
+        groups.append(tuple(group))
+    return groups
+
+
+class _PerChunk:
+    """A one-chunk task ``task(payload, (chunk_index, draws))`` run over a
+    group, one partial per chunk (picklable when ``task`` is a module-level
+    function)."""
+
+    def __init__(self, task: Callable) -> None:
+        self.task = task
+
+    def __call__(self, payload: object, group) -> List[object]:
+        return [self.task(payload, piece) for piece in group]
 
 
 @dataclass
@@ -69,6 +116,9 @@ class SampleDriver:
         Picklable module-level function ``(payload, (chunk_index, draws))``
         returning one chunk's partial result.  The task must derive its RNG
         stream from the chunk index (:func:`repro.parallel.chunk_rng`).
+        With ``grouped=True`` it takes a tuple of consecutive such pieces
+        instead (:func:`chunk_groups`) and returns one partial per piece,
+        in piece order.
     payload:
         Shared context shipped to each worker once; must be picklable when
         ``workers > 1``.
@@ -78,6 +128,9 @@ class SampleDriver:
         Draws per chunk; part of each estimator's definition (it fixes the
         RNG stream layout), so it defaults to the historical
         :data:`repro.parallel.SAMPLE_CHUNK_SIZE`.
+    grouped:
+        Whether ``chunk_task`` takes a group of chunks; a one-chunk task
+        is run over each group by :class:`_PerChunk`.
 
     Use as a context manager; the pool is shut down on exit::
 
@@ -93,13 +146,16 @@ class SampleDriver:
         payload: object = None,
         workers: Optional[int] = None,
         chunk_size: int = _parallel.SAMPLE_CHUNK_SIZE,
+        grouped: bool = False,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
         self.next_chunk = 0
         self._pool = _parallel.WorkerPool(
-            chunk_task, payload=payload, workers=workers
+            chunk_task if grouped else _PerChunk(chunk_task),
+            payload=payload,
+            workers=workers,
         )
 
     # ------------------------------------------------------------------
@@ -108,14 +164,17 @@ class SampleDriver:
 
         Chunk indices continue from previous batches, so successive phases
         (pilot batch, then schedule stages) consume one global stream
-        sequence exactly as the pre-engine estimators did.
+        sequence exactly as the pre-engine estimators did.  Groups never
+        span batches.
         """
         pieces = _parallel.plan_chunks(
             count, self.chunk_size, start_chunk=self.next_chunk
         )
         self.next_chunk += len(pieces)
-        for partial in self._pool.map(pieces):
-            fold(partial)
+        groups = chunk_groups(pieces, self._pool.workers)
+        for partials in self._pool.map(groups):
+            for partial in partials:
+                fold(partial)
         return count
 
     def run_schedule(

@@ -61,10 +61,18 @@ Node = Hashable
 AUTO_CSR_BIDIRECTIONAL_THRESHOLD = 16384
 
 #: Flat-slot budget of one stacked search (two slots of ``n`` ids per row,
-#: 16 bytes of state per id): about 0.75 MB, i.e. 32 rows on a 700-node
-#: road block.  Longer pair lists run in equal successive sub-batches,
-#: which never changes results.
-_STACKED_SLOTS = 48 * 1024
+#: 16 bytes of state per id): about 1.75 MB, i.e. 81 rows on a 707-node
+#: road block and 16 on a 3.4k-node social block.  A stack pays a few
+#: dozen numpy calls per level whatever its width, so wider stacks cost
+#: less per pair, down to a floor.  Measured on a 2-vCPU host (search
+#: only, 2,048 pairs): the road block took 188 -> 134 -> 105 µs per pair
+#: at 32 -> 64 -> 128 rows, the social block 137 -> 95 -> 74 µs at
+#: 6 -> 16 -> 32 rows and no less past 64 rows.  The cap is set by
+#: memory, not speed: whole ``rank`` queries ran as fast at 112k slots as
+#: at 160k, and 160k raised the peak resident set by about 7%.  Longer
+#: pair lists run in equal successive sub-batches, which never changes
+#: results.
+_STACKED_SLOTS = 112 * 1024
 
 #: ``auto`` runs fewer pairs than this one at a time: a stacked search pays
 #: a few dozen numpy calls per level, which only a full batch amortises.
@@ -327,9 +335,14 @@ def bidirectional_shortest_paths_batch(
     numpy and the CSR backend (explicit, or ``auto`` on graphs of at least
     ``AUTO_CSR_THRESHOLD`` nodes + edges with at least
     ``_STACKED_MIN_ROWS`` pairs and room for two per sub-batch) the pairs
-    run stacked, at most ``_STACKED_SLOTS // (2 n)`` per sub-batch;
-    otherwise they run one at a time.  Searches run lazily as results are consumed and draw no random
-    numbers, so interleaving path sampling with the iteration is safe.
+    run stacked, in equal sub-batches of at most
+    ``_STACKED_SLOTS // (2 n)`` pairs (a 707-node road block stacks 81);
+    otherwise they run one at a time, and an empty list yields nothing.
+    The pairs may come from several callers' draws at once (Gen_bc
+    passes every row of a chunk group): results depend on each pair
+    only.  Searches run lazily as results are consumed and draw no
+    random numbers, so interleaving path sampling with the iteration is
+    safe.
 
     Raises
     ------
@@ -340,7 +353,7 @@ def bidirectional_shortest_paths_batch(
     pairs = list(pairs)
     for source, target in pairs:
         _check_pair(graph, source, target)
-    if _runs_stacked(graph, backend, len(pairs)):
+    if pairs and _runs_stacked(graph, backend, len(pairs)):
         return _stacked_searches(_csr.as_csr(graph), pairs)
     search = _per_pair_search(graph, backend)
     return (search(graph, source, target) for source, target in pairs)

@@ -127,10 +127,11 @@ class _BCProblem:
     def sample_losses(self, rng: SeedLike = None) -> Mapping[int, float]:
         return self._generator.sample_losses(rng)
 
-    def sample_losses_batch(self, rng: SeedLike, draws: int):
-        """One chunk of draws in Gen_bc's "pairs, then paths, per round"
-        order (what the adaptive sampler calls per chunk)."""
-        return self._generator.sample_losses_batch(rng, draws)
+    def sample_losses_streams(self, streams):
+        """A group of chunks, one ``(rng, draws)`` stream each, searched
+        together in Gen_bc's "pairs, then paths, per round" order (what
+        the adaptive sampler calls per task)."""
+        return self._generator.sample_losses_streams(streams)
 
     def collect_sample_stats(self):
         """Detach this copy's sampling counters (worker side of the

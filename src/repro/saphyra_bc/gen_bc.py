@@ -14,19 +14,24 @@ Algorithm 2 of the paper — multistage sampling followed by rejection:
 
 The accepted paths are distributed exactly as ``D-tilde_c^(A)`` (Lemma 20).
 
-:meth:`GenBC.sample_paths` draws a whole chunk in rounds: it draws every
-pending pair first, searches them together (stacked per block, see
+:meth:`GenBC.sample_path_streams` draws several chunks at once, each from
+its own RNG stream, in rounds: every stream draws its pending pairs first,
+all rows of all streams are searched together (stacked per block, see
 :func:`repro.graphs.bidirectional.bidirectional_shortest_paths_batch`),
-samples the paths in row order, and redraws only the rejected count in the
-next round.  This "pairs, then paths, per round" order fixes the RNG
-consumption for any backend, worker count or stacking layout; a single
-draw is the classic draw-search-sample-retry loop.
+then each row's path is sampled from its own stream, in row order, and
+only each stream's rejected count is redrawn in the next round.  Streams
+never share random numbers, so each one consumes exactly what it would
+consume alone: this "pairs, then paths, per round" order fixes the RNG
+consumption for any backend, worker count, chunk grouping or stacking
+layout.  One stream is :meth:`GenBC.sample_paths`; a single draw is the
+classic draw-search-sample-retry loop.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SamplingError
 from repro.graphs.bidirectional import bidirectional_shortest_paths_batch
@@ -107,12 +112,30 @@ class GenBC:
         return self.sample_paths(rng, 1)[0]
 
     def sample_paths(self, rng: SeedLike, count: int) -> List[List[Node]]:
-        """Draw ``count`` shortest paths from ``D-tilde_c^(A)``.
+        """Draw ``count`` shortest paths from ``D-tilde_c^(A)``: the
+        one-stream case of :meth:`sample_path_streams`."""
+        return self.sample_path_streams([(ensure_rng(rng), count)])[0]
 
-        Each round draws all pending pairs, searches them, then samples and
-        tests their paths in row order; rejected rows are redrawn in the
-        next round.  Accepted paths are returned round by round, in row
-        order.
+    def sample_path_streams(
+        self, streams: Sequence[Tuple[random.Random, int]]
+    ) -> List[List[List[Node]]]:
+        """Draw ``count`` paths from each ``(rng, count)`` stream; return
+        them per stream, round by round, in row order — what each stream
+        would return if drawn alone (see :meth:`_accepted`)."""
+        accepted: List[List[List[Node]]] = [[] for _ in streams]
+        for stream, path in self._accepted(streams):
+            accepted[stream].append(path)
+        return accepted
+
+    def _accepted(
+        self, streams: Sequence[Tuple[random.Random, int]]
+    ) -> Iterator[Tuple[int, List[Node]]]:
+        """Yield ``(stream, path)`` for every accepted path of the streams.
+
+        Each round, every stream draws its pending pairs from its own RNG;
+        the rows of all streams are searched together, then each row's
+        path is sampled and tested from its own stream, in row order;
+        rejected rows are redrawn by their stream in the next round.
 
         Raises
         ------
@@ -120,18 +143,21 @@ class GenBC:
             If some draw is rejected more than ``max_rejections`` times in
             a row.
         """
-        rng = ensure_rng(rng)
         stats = self.stats
-        accepted: List[List[Node]] = []
-        pending = count
+        rngs = [rng for rng, _ in streams]
+        pending = [count for _, count in streams]
         rounds = 0
-        while pending:
-            pairs = [self.space.sample_pair(rng) for _ in range(pending)]
-            stats.pairs_drawn += pending
-            pending = 0
-            for path in self._search_and_sample(pairs, rng):
+        while any(pending):
+            rows = [
+                (stream, *self.space.sample_pair(rng))
+                for stream, (rng, draws) in enumerate(zip(rngs, pending))
+                for _ in range(draws)
+            ]
+            stats.pairs_drawn += len(rows)
+            pending = [0] * len(streams)
+            for stream, path in self._search_and_sample(rows, rngs):
                 if self._in_exact_subspace(path):
-                    pending += 1
+                    pending[stream] += 1
                     stats.rejections += 1
                     continue
                 stats.samples_returned += 1
@@ -139,21 +165,21 @@ class GenBC:
                 stats.path_length_histogram[length] = (
                     stats.path_length_histogram.get(length, 0) + 1
                 )
-                accepted.append(path)
+                yield stream, path
             rounds += 1
-            if pending and rounds > self.max_rejections:
+            if rounds > self.max_rejections and any(pending):
                 raise SamplingError(
                     "rejection sampling exceeded "
                     f"{self.max_rejections} consecutive rejections; "
                     "the approximate subspace is (nearly) empty"
                 )
-        return accepted
 
-    def _search_and_sample(self, pairs, rng) -> Iterator[List[Node]]:
-        """Search ``(block, source, target)`` rows, block by block, and
-        yield one sampled path per row in row order."""
+    def _search_and_sample(self, rows, rngs) -> Iterator[Tuple[int, List[Node]]]:
+        """Search ``(stream, block, source, target)`` rows stacked per
+        block; yield ``(stream, path)`` per row in row order, each path
+        sampled from its stream's RNG."""
         rows_by_block: Dict[int, List[tuple]] = {}
-        for block_index, source, target in pairs:
+        for _, block_index, source, target in rows:
             rows_by_block.setdefault(block_index, []).append((source, target))
         searches = {
             block_index: bidirectional_shortest_paths_batch(
@@ -162,8 +188,10 @@ class GenBC:
             )
             for block_index, block_pairs in rows_by_block.items()
         }
-        for block_index, _, _ in pairs:
-            yield self._sample_result(next(searches[block_index]), block_index, rng)
+        for stream, block_index, _, _ in rows:
+            yield stream, self._sample_result(
+                next(searches[block_index]), block_index, rngs[stream]
+            )
 
     def _sample_result(self, result, block_index: int, rng) -> List[Node]:
         # A separate frame, so no finished search outlives its path while
@@ -187,17 +215,25 @@ class GenBC:
     def sample_losses_batch(
         self, rng: SeedLike, draws: int
     ) -> List[Dict[int, float]]:
-        """The sparse losses of ``draws`` paths from :meth:`sample_paths`."""
+        """The sparse losses of ``draws`` paths from :meth:`sample_paths`:
+        the one-stream case of :meth:`sample_losses_streams`."""
+        return self.sample_losses_streams([(ensure_rng(rng), draws)])[0]
+
+    def sample_losses_streams(
+        self, streams: Sequence[Tuple[random.Random, int]]
+    ) -> List[List[Dict[int, float]]]:
+        """The sparse losses of the paths of :meth:`sample_path_streams`,
+        one list per stream (each path is reduced as soon as it is
+        accepted, so no group of paths is held)."""
         target_index = self._target_index
-        batch = []
-        for path in self.sample_paths(rng, draws):
-            losses: Dict[int, float] = {}
-            for node in path[1:-1]:
-                position = target_index.get(node)
-                if position is not None:
-                    losses[position] = 1.0
-            batch.append(losses)
-        return batch
+        batches: List[List[Dict[int, float]]] = [[] for _ in streams]
+        for stream, path in self._accepted(streams):
+            batches[stream].append({
+                position: 1.0
+                for position in map(target_index.get, path[1:-1])
+                if position is not None
+            })
+        return batches
 
     # ------------------------------------------------------------------
     def _in_exact_subspace(self, path: List[Node]) -> bool:

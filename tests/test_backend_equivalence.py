@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import parallel
 from repro.baselines import ABRA, KADABRA, RiondatoKornaropoulos
 from repro.centrality.brandes import (
     betweenness_centrality,
@@ -607,6 +608,105 @@ class TestGenBCBatchLayout:
             {index[node]: 1.0 for node in path[1:-1] if node in index}
             for path in expected
         ]
+
+    @pytest.mark.parametrize("backend", ["dict", "csr", None])
+    def test_multi_stream_matches_per_stream_replay(
+        self, case, monkeypatch, backend
+    ):
+        # Several chunk streams searched together: each stream's paths and
+        # the summed counters equal per-stream replays, and rows of several
+        # streams share the searches of every round, including the
+        # rejection rounds.
+        label, graph, targets = case
+        space = PersonalizedISP(graph, targets=targets)
+        generator = GenBC(space, targets, backend=backend)
+        rounds = []
+        search_and_sample = generator._search_and_sample
+
+        def spy(rows, rngs):
+            rounds.append({stream for stream, *_ in rows})
+            return search_and_sample(rows, rngs)
+
+        monkeypatch.setattr(generator, "_search_and_sample", spy)
+        counts = [64, 5, 40, 64]
+        streams = [(random.Random(20 + index), count)
+                   for index, count in enumerate(counts)]
+        paths = generator.sample_path_streams(streams)
+        expected = GenBCStatistics()
+        for index, count in enumerate(counts):
+            replay, stats = _replay_gen_bc(
+                space, targets, random.Random(20 + index), count
+            )
+            assert paths[index] == replay
+            expected.merge(stats)
+        assert generator.stats == expected
+        assert rounds[0] == set(range(len(counts)))
+        if label == "social":
+            assert len(rounds) > 1 and len(rounds[1]) > 1
+
+    def test_rank_identical_across_chunk_groups(self, case, monkeypatch):
+        from repro.engine import driver, set_dag_cache_enabled
+
+        label, graph, targets = case
+        generators = []
+        init = GenBC.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            generators.append(self)
+
+        monkeypatch.setattr(GenBC, "__init__", recording_init)
+
+        def run(backend, workers):
+            result = SaPHyRaBC(
+                0.1, 0.1, seed=5, max_samples_cap=400,
+                backend=backend, workers=workers,
+            ).rank(graph, targets)
+            return (
+                result.scores, result.ranking, result.num_samples,
+                result.num_pilot_samples, result.rejections,
+                generators[-1].stats,
+            )
+
+        reference = run("dict", 0)
+        chunk = parallel.SAMPLE_CHUNK_SIZE
+        try:
+            for cap in (chunk, 3 * chunk, 10**9):
+                monkeypatch.setattr(driver, "_GROUP_DRAWS", cap)
+                for backend in ("dict", "csr", None):
+                    for workers in (0, 2):
+                        for enabled in (True, False):
+                            set_dag_cache_enabled(enabled)
+                            layout = (cap, backend, workers, enabled)
+                            assert run(backend, workers) == reference, layout
+        finally:
+            set_dag_cache_enabled(None)
+        if label == "social":
+            assert reference[4] > 0  # rejection rounds were exercised
+
+    @pytest.mark.skipif(
+        not csr_module.HAS_NUMPY, reason="the stacked kernel needs numpy"
+    )
+    def test_stacks_respect_the_slot_budget(self, monkeypatch):
+        # Cross-chunk stacking fills stacks past one chunk's 64 rows, and
+        # no stack (two slots of n ids per row) outgrows the flat-slot
+        # budget.
+        graph = grid_road_graph(16, 16, seed=3)[0]
+        targets = random_subset(graph, 20, 2)
+        stacks = []
+        stacked_search = bidirectional._stacked_search
+
+        def recording_search(snapshot, pairs):
+            stacks.append((2 * len(pairs) * snapshot.n, len(pairs)))
+            return stacked_search(snapshot, pairs)
+
+        monkeypatch.setattr(bidirectional, "_stacked_search", recording_search)
+        SaPHyRaBC(
+            0.1, 0.1, seed=7, max_samples_cap=300, backend="csr", workers=0
+        ).rank(graph, targets)
+        assert stacks
+        assert all(size <= bidirectional._STACKED_SLOTS for size, _ in stacks)
+        assert max(rows for _, rows in stacks) > parallel.SAMPLE_CHUNK_SIZE
 
     def test_rank_identical_across_layouts(self, case, monkeypatch):
         from repro.engine import set_dag_cache_enabled

@@ -229,8 +229,12 @@ class TestBatchedSearch:
             with pytest.raises(GraphError):
                 bidirectional_shortest_paths_batch(karate, [(0, 1), bad])
 
-    def test_empty_batch(self, karate):
-        assert list(bidirectional_shortest_paths_batch(karate, [])) == []
+    @pytest.mark.parametrize(
+        "backend", ["dict", "csr", None], ids=["dict", "csr", "auto"]
+    )
+    def test_empty_batch(self, karate, backend):
+        batch = bidirectional_shortest_paths_batch(karate, [], backend=backend)
+        assert list(batch) == []
 
 
 class TestFrontierCostCarried:

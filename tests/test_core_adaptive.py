@@ -104,19 +104,25 @@ class TestEstimate:
 
 
 class _ChunkProblem:
-    """A payload drawing whole chunks through ``sample_losses_batch``."""
+    """A payload drawing whole chunk groups through
+    ``sample_losses_streams``, one ``(rng, draws)`` stream per chunk."""
 
     def __init__(self, means):
         self.means = means
         self.chunks = []
+        self.groups = []
 
     def sample_losses(self, rng):  # pragma: no cover - must not be called
         raise AssertionError("a chunk-level sampler is drawn chunk by chunk")
 
-    def sample_losses_batch(self, rng, draws):
-        self.chunks.append(draws)
+    def sample_losses_streams(self, streams):
+        self.groups.append([draws for _, draws in streams])
         sample = bernoulli_sampler(self.means, None)
-        return [sample(rng) for _ in range(draws)]
+        batches = []
+        for rng, draws in streams:
+            self.chunks.append(draws)
+            batches.append([sample(rng) for _ in range(draws)])
+        return batches
 
 
 class TestChunkLevelSampler:
@@ -129,6 +135,8 @@ class TestChunkLevelSampler:
         )
         assert sum(problem.chunks) == result.num_samples + result.num_pilot_samples
         assert max(problem.chunks) <= 64
+        # In-process, one call draws several chunks' streams at once.
+        assert max(len(group) for group in problem.groups) > 1
 
     def test_batch_of_per_draw_samples_equals_per_draw_sampler(self):
         # Drawing a chunk in one call in per-draw order reproduces the

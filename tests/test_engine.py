@@ -21,6 +21,8 @@ from repro.engine import (
     dag_cache_enabled,
     set_dag_cache_enabled,
 )
+from repro.engine import driver as driver_module
+from repro.engine.driver import chunk_groups
 from repro.engine.stopping import (
     AllocatedBernsteinRule,
     BernsteinSumsRule,
@@ -126,6 +128,11 @@ def _counting_chunk(payload, piece):
     return piece
 
 
+def _group_chunk(payload, group):
+    """Module-level grouped task: records its group, returns its pieces."""
+    return [(len(group), piece) for piece in group]
+
+
 class TestSampleDriver:
     def test_chunk_indices_continue_across_batches(self):
         seen = []
@@ -133,6 +140,36 @@ class TestSampleDriver:
             driver.run_batch(25, seen.append)
             driver.run_batch(15, seen.append)
         assert seen == [(0, 10), (1, 10), (2, 5), (3, 10), (4, 5)]
+
+    def test_chunk_groups_rule(self, monkeypatch):
+        pieces = [(0, 64), (1, 64), (2, 64), (3, 64), (4, 10)]
+        assert chunk_groups(pieces, workers=0) == [tuple(pieces)]
+        # A pool keeps one chunk per task.
+        assert chunk_groups(pieces, workers=2) == [(piece,) for piece in pieces]
+        monkeypatch.setattr(driver_module, "_GROUP_DRAWS", 128)
+        assert chunk_groups(pieces, workers=1) == [
+            ((0, 64), (1, 64)), ((2, 64), (3, 64)), ((4, 10),)
+        ]
+        # A chunk larger than the cap still forms a group of its own.
+        monkeypatch.setattr(driver_module, "_GROUP_DRAWS", 1)
+        assert chunk_groups(pieces, workers=0) == [(piece,) for piece in pieces]
+        assert chunk_groups([], workers=0) == []
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_grouped_task_folds_one_partial_per_chunk(self, monkeypatch, workers):
+        monkeypatch.setattr(driver_module, "_GROUP_DRAWS", 30)
+        seen = []
+        with SampleDriver(
+            _group_chunk, chunk_size=10, workers=workers, grouped=True
+        ) as driver:
+            driver.run_batch(45, seen.append)
+            driver.run_batch(15, seen.append)
+        # In-process groups fill up to 30 draws and never span batches;
+        # a pool ships one chunk per task.  Partials fold in chunk order.
+        sizes = [3, 3, 3, 2, 2, 2, 2] if workers == 0 else [1] * 7
+        assert seen == list(zip(sizes, [
+            (0, 10), (1, 10), (2, 10), (3, 10), (4, 5), (5, 10), (6, 5)
+        ]))
 
     def test_run_schedule_stops_adaptively(self):
         class StopAtSecondCheck:

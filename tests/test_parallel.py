@@ -199,7 +199,9 @@ class TestSetDefaultWorkersMirroring:
     resolve the same default as the parent) with displaced-value restore."""
 
     @pytest.fixture(autouse=True)
-    def _reset(self):
+    def _reset(self, monkeypatch):
+        # Requesting monkeypatch tears the override down first, so a value
+        # it restores is undone by monkeypatch's own restore afterwards.
         yield
         parallel.set_default_workers(None)
 
@@ -232,7 +234,9 @@ class TestStartMethodKnob:
     """`set_default_start_method` follows the full knob protocol."""
 
     @pytest.fixture(autouse=True)
-    def _reset(self):
+    def _reset(self, monkeypatch):
+        # Requesting monkeypatch tears the override down first, so a value
+        # it restores is undone by monkeypatch's own restore afterwards.
         yield
         parallel.set_default_start_method(None)
 
